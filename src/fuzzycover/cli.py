@@ -86,8 +86,11 @@ def _reject_gamma(args) -> None:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParameterError(f"--out {out_path}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -177,14 +180,12 @@ def cmd_neigh(args) -> int:
             },
         }
     if args.format == "csv":
-        lines = ["covering,object," + ",".join(sf.universe.objects) + ",sigma"]
+        rows = [["covering", "object", *sf.universe.objects, "sigma"]]
         for name in names:
             block = doc[name]
             for obj in sf.universe.objects:
-                lines.append(
-                    f"{name},{obj}," + ",".join(block["rows"][obj]) + f",{block['sigma'][obj]}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+                rows.append([name, obj, *block["rows"][obj], block["sigma"][obj]])
+        _emit(sysio.render_csv(rows), args.out)
     else:
         _emit(sysio.render_json(doc), args.out)
     return EXIT_OK
@@ -411,7 +412,7 @@ def cmd_sweep(args) -> int:
     if needs_k:
         header.append("k")
     header += ["lower", "upper", "n_lower", "n_upper"]
-    lines = [",".join(header)]
+    csv_rows = [header]
     for a, b, k, r in rows:
         cells = []
         if needs_t:
@@ -424,8 +425,8 @@ def cmd_sweep(args) -> int:
             str(len(r.lower)),
             str(len(r.upper)),
         ]
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.out)
+        csv_rows.append(cells)
+    _emit(sysio.render_csv(csv_rows), args.out)
     return EXIT_OK
 
 

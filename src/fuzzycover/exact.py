@@ -10,7 +10,6 @@ exactly rather than by floating-point luck.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 MICRO = 10**6
 
@@ -55,25 +54,5 @@ def format_scaled(value: int) -> str:
     return f"{sign}{whole}.{frac:06d}".rstrip("0")
 
 
-def ratio_cmp(num: int, den: int, threshold: int) -> int:
-    """Sign of num/den - threshold/MICRO, by cross-multiplication (den > 0)."""
-    lhs = num * MICRO
-    rhs = threshold * den
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def ratio_ge(num: int, den: int, threshold: int) -> bool:
     return num * MICRO >= threshold * den
-
-
-def ratio_gt(num: int, den: int, threshold: int) -> bool:
-    return num * MICRO > threshold * den
-
-
-def ratio_lt(num: int, den: int, threshold: int) -> bool:
-    return num * MICRO < threshold * den
-
-
-def as_fraction(num: int, den: int) -> Fraction:
-    """Exact rational num/den; micro scales cancel when both are micro-sums."""
-    return Fraction(num, den)

@@ -3,25 +3,45 @@
 The fuzzy gamma-neighborhood of x is the pointwise minimum of all covering
 members whose degree at x reaches gamma; the covering condition guarantees at
 least one qualifying member, so the neighborhood always exists and keeps
-degree >= gamma at x itself.  Tables precompute one row per object plus its
-sigma-count; operators never recompute neighborhoods.
+degree >= gamma at x itself.
+
+N_x depends only on the *signature* of x, the set of qualifying members, so
+objects with equal signatures share one row.  A table holds the d distinct
+rows with their sigma-counts, plus an index from each object to its row;
+building it costs O(n * members + n * d * members) instead of
+O(n^2 * members), and operators evaluate each distinct row once.  Operators
+never recompute neighborhoods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exact import MICRO
-from .model import ApproximationSpace, FuzzySet, StructuralError
+from .model import ApproximationSpace, FuzzySet, StructuralError, Universe
 
 
 @dataclass(frozen=True)
 class NeighborhoodTable:
-    """Per-object neighborhoods and sigma-counts for one covering."""
+    """Distinct neighborhoods and sigma-counts for one covering.
+
+    `distinct[index[i]]` is the neighborhood of the i-th object.  `rows` and
+    `sigma` give the same values per object; their entries are shared
+    references into `distinct` and `distinct_sigma`.
+    """
 
     space: ApproximationSpace
-    rows: tuple[FuzzySet, ...]
-    sigma: tuple[int, ...]
+    distinct: tuple[FuzzySet, ...]
+    distinct_sigma: tuple[int, ...]
+    index: tuple[int, ...]
+    rows: tuple[FuzzySet, ...] = field(init=False, repr=False, compare=False)
+    sigma: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(map(self.distinct.__getitem__, self.index)))
+        object.__setattr__(
+            self, "sigma", tuple(map(self.distinct_sigma.__getitem__, self.index))
+        )
 
     @property
     def universe(self):
@@ -31,23 +51,36 @@ class NeighborhoodTable:
         return self.rows[self.universe.index(name)]
 
 
+def _signature(space: ApproximationSpace, index: int) -> tuple[int, ...]:
+    """Positions of the covering members whose degree at the object reaches gamma."""
+    gamma = space.covering.gamma
+    return tuple(
+        j for j, s in enumerate(space.covering.member_sets) if s.memberships[index] >= gamma
+    )
+
+
+def _pointwise_min(universe: Universe, sets: list[FuzzySet]) -> FuzzySet:
+    """Meet of a non-empty list of fuzzy sets."""
+    if len(sets) == 1:  # map(min, v) over a single vector would call min(int)
+        return sets[0]
+    return FuzzySet(universe, tuple(map(min, *(s.memberships for s in sets))))
+
+
+def _meet(space: ApproximationSpace, signature: tuple[int, ...]) -> FuzzySet:
+    # the covering condition guarantees the signature is non-empty
+    sets = space.covering.member_sets
+    return _pointwise_min(space.universe, [sets[j] for j in signature])
+
+
 def qualifying_members(space: ApproximationSpace, index: int) -> tuple[str, ...]:
     """Names of covering members whose degree at the object reaches gamma."""
-    c = space.covering
-    return tuple(n for n, s in c.members if s.memberships[index] >= c.gamma)
+    names = space.covering.member_names
+    return tuple(names[j] for j in _signature(space, index))
 
 
 def fuzzy_gamma_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
     """Pointwise min of all members with degree >= gamma at the object."""
-    index = space.universe.index(name)
-    gamma = space.covering.gamma
-    vectors = [
-        s.memberships
-        for s in space.covering.member_sets
-        if s.memberships[index] >= gamma
-    ]
-    # the covering condition guarantees vectors is non-empty
-    return FuzzySet(space.universe, tuple(min(col) for col in zip(*vectors)))
+    return _meet(space, _signature(space, space.universe.index(name)))
 
 
 def crisp_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
@@ -55,17 +88,17 @@ def crisp_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
     if not space.covering.is_crisp():
         raise StructuralError("crisp neighborhoods need a 0/1-valued covering")
     index = space.universe.index(name)
-    vectors = [
-        s.memberships
-        for s in space.covering.member_sets
-        if s.memberships[index] == MICRO
-    ]
-    return FuzzySet(space.universe, tuple(min(col) for col in zip(*vectors)))
+    containing = [s for s in space.covering.member_sets if s.memberships[index] == MICRO]
+    return _pointwise_min(space.universe, containing)
 
 
 def build_table(space: ApproximationSpace) -> NeighborhoodTable:
-    rows = tuple(
-        fuzzy_gamma_neighborhood(space, name) for name in space.universe.objects
+    """One row per distinct signature, in order of first occurrence."""
+    slots: dict[tuple[int, ...], int] = {}
+    index = tuple(
+        slots.setdefault(_signature(space, i), len(slots))
+        for i in range(space.universe.size)
     )
-    sigma = tuple(r.sigma_count() for r in rows)
-    return NeighborhoodTable(space, rows, sigma)
+    distinct = tuple(_meet(space, signature) for signature in slots)
+    sigma = tuple(row.sigma_count() for row in distinct)
+    return NeighborhoodTable(space, distinct, sigma, index)

@@ -85,13 +85,16 @@ def _check_target(table: NeighborhoodTable, target: FuzzySet) -> None:
         raise ParameterError("target set is over a different universe")
 
 
+def _meet_sums(table: NeighborhoodTable, xs: tuple[int, ...]) -> tuple[int, ...]:
+    """sum(xs & N_x) per object: one sum per distinct row, then broadcast."""
+    per_row = [sum(map(min, xs, row.memberships)) for row in table.distinct]
+    return tuple(map(per_row.__getitem__, table.index))
+
+
 def overlap_sums(table: NeighborhoodTable, target: FuzzySet) -> tuple[int, ...]:
     """sum(X & N_x) per object, micro-units."""
     _check_target(table, target)
-    xs = target.memberships
-    return tuple(
-        sum(map(min, xs, row.memberships)) for row in table.rows
-    )
+    return _meet_sums(table, target.memberships)
 
 
 def mass_sums(
@@ -102,10 +105,7 @@ def mass_sums(
     if mode is ResidualMode.RESIDUAL:
         ov = overlap_sums(table, target)
         return tuple(s - o for s, o in zip(table.sigma, ov))
-    xc = target.complement().memberships
-    return tuple(
-        sum(map(min, xc, row.memberships)) for row in table.rows
-    )
+    return _meet_sums(table, target.complement().memberships)
 
 
 def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str) -> Fraction:

@@ -28,10 +28,12 @@ two-space indentation, sorted result keys.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 
-from .exact import DecimalFormatError, format_scaled, parse_degree, parse_scaled
+from .exact import DecimalFormatError, format_scaled, parse_degree
 from .model import (
     FuzzyCovering,
     FuzzySet,
@@ -260,7 +262,7 @@ def render_result_csv(doc: dict, universe: Universe) -> str:
         header.append("regions")
     if diag:
         header += ["overlap", "sigma", "p", "residual_mass", "complement_mass"]
-    lines = [",".join(header)]
+    rows = [header]
     for name in universe.objects:
         row = [name, str(int(name in lower)), str(int(name in upper))]
         if regions:
@@ -274,16 +276,28 @@ def render_result_csv(doc: dict, universe: Universe) -> str:
                 d.get("residual_mass", ""),
                 d.get("complement_mass", ""),
             ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return render_csv(rows)
 
 
-def parse_grade_string(text: str) -> int:
-    """Grade values share the exact decimal grammar but may exceed 1."""
-    try:
-        return parse_scaled(text)
-    except DecimalFormatError as e:
-        raise ParseError(str(e)) from None
+def render_csv(rows) -> str:
+    """CSV text, one newline-ended line per row.
+
+    Cells holding ',', '"' or a line break are quoted; other cells are written
+    as they are, so plain names give the same bytes as a ','-join.  A bare
+    carriage return anywhere quotes every cell.
+    """
+    text = _csv_text(rows, csv.QUOTE_MINIMAL)
+    if "\r" in text:
+        # the csv module leaves a bare "\r" unquoted when the line end is "\n"
+        text = _csv_text(rows, csv.QUOTE_ALL)
+    return text
+
+
+def _csv_text(rows, quoting: int) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
+    return buf.getvalue()
 
 
 __all__ = [
@@ -297,4 +311,5 @@ __all__ = [
     "result_document",
     "render_json",
     "render_result_csv",
+    "render_csv",
 ]

@@ -9,8 +9,6 @@ from fuzzycover.exact import (
     parse_degree,
     parse_scaled,
     ratio_ge,
-    ratio_gt,
-    ratio_lt,
 )
 
 
@@ -68,10 +66,6 @@ def test_scaled_round_trip(value):
 def test_ratio_exact_boundaries():
     # 2.6 / 5.2 is exactly 0.5
     assert ratio_ge(2_600_000, 5_200_000, 500_000)
-    assert not ratio_gt(2_600_000, 5_200_000, 500_000)
-    assert not ratio_lt(2_600_000, 5_200_000, 500_000)
-    # 2.5 / 3.3 is strictly above 0.75
-    assert ratio_gt(2_500_000, 3_300_000, 750_000)
 
 
 @given(
@@ -85,5 +79,3 @@ def test_ratio_agrees_with_fractions(num, den, threshold):
     p = Fraction(num, den)
     t = Fraction(threshold, MICRO)
     assert ratio_ge(num, den, threshold) == (p >= t)
-    assert ratio_gt(num, den, threshold) == (p > t)
-    assert ratio_lt(num, den, threshold) == (p < t)

@@ -1,0 +1,51 @@
+"""Import boundaries of the package, read from the source with `ast`.
+
+The package depends on the standard library only, and the brute-force
+oracle stays independent of the code it checks: of the package's own
+modules it may import only the shared data types.
+"""
+
+import ast
+import pathlib
+import sys
+
+import fuzzycover
+
+PACKAGE_DIR = pathlib.Path(fuzzycover.__file__).parent
+ORACLE_ALLOWED = {"exact", "model"}
+
+
+def _imports(path: pathlib.Path) -> tuple[set[str], set[str]]:
+    """(top-level absolute modules, package modules) imported by one file."""
+    absolute, own = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                absolute.add(node.module.split(".")[0])
+            elif node.module:
+                own.add(node.module.split(".")[0])
+            else:  # from . import a, b
+                own.update(alias.name for alias in node.names)
+    return absolute, own
+
+
+def _sources():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert paths
+    return paths
+
+
+def test_package_imports_only_stdlib_and_itself():
+    modules = {p.stem for p in _sources()}
+    for path in _sources():
+        absolute, own = _imports(path)
+        outside = {m for m in absolute if m not in sys.stdlib_module_names and m != "fuzzycover"}
+        assert not outside, f"{path.name} imports {sorted(outside)}"
+        assert own <= modules, f"{path.name} imports unknown modules {sorted(own - modules)}"
+
+
+def test_oracle_imports_only_data_types():
+    _, own = _imports(PACKAGE_DIR / "oracle.py")
+    assert own <= ORACLE_ALLOWED, f"oracle.py imports {sorted(own - ORACLE_ALLOWED)}"

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -255,6 +257,81 @@ class TestCliMg:
         doc = json.loads(out)
         assert doc["operator"] == "mg-dq-all"
         assert doc["lower"] == ["x3"]
+
+
+class TestCliOutput:
+    def test_unwritable_out_exits_4(self, capsys, fixtures_dir, tmp_path):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "approx", str(fixtures_dir / "price.json"),
+            "--op", "grade", "--k", "2", "--target", "X", "--out", str(out_path),
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"parameter error: --out {out_path}")
+        assert not out_path.exists()
+
+
+ODD_NAMES = ("a,b", 'say "hi"', "two\nlines", "cr\rname", "x5", "x6", "x7", "x8")
+
+
+@pytest.fixture
+def odd_names_file(tmp_path, price_file):
+    """The price fixture with object names that need CSV quoting."""
+    doc = json.loads(sysio.dumps(price_file))
+    doc["universe"] = list(ODD_NAMES)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+class TestCliCsvQuoting:
+    def test_result_csv(self, capsys, odd_names_file):
+        code, out, _ = run_cli(
+            capsys, "regions", odd_names_file,
+            "--op", "grade", "--k", "2", "--target", "X", "--format", "csv",
+        )
+        assert code == 0
+        rows = _csv_rows(out)
+        assert rows[0] == [
+            "object", "in_lower", "in_upper", "regions",
+            "overlap", "sigma", "p", "residual_mass", "complement_mass",
+        ]
+        assert [r[0] for r in rows[1:]] == list(ODD_NAMES)
+        assert all(len(r) == len(rows[0]) for r in rows)
+        # same verdicts and sigma-counts as the fixture with plain names
+        assert [r[3] for r in rows[1:5]] == ["BOU|UBO", "POS", "POS", "BOU|UBO"]
+        assert [r[5] for r in rows[1:5]] == ["5.2", "5", "3.3", "5.2"]
+
+    def test_neigh_csv(self, capsys, odd_names_file):
+        code, out, _ = run_cli(capsys, "neigh", odd_names_file, "--format", "csv")
+        assert code == 0
+        rows = _csv_rows(out)
+        assert rows[0] == ["covering", "object", *ODD_NAMES, "sigma"]
+        assert [r[1] for r in rows[1:]] == list(ODD_NAMES)
+        assert all(len(r) == len(rows[0]) for r in rows)
+        assert rows[3][2:] == ["0", "0.5", "0.9", "0", "0.5", "0.9", "0", "0.5", "3.3"]
+
+    def test_sweep_csv(self, capsys, odd_names_file):
+        code, out, _ = run_cli(
+            capsys, "sweep", odd_names_file, "--op", "grade", "--k", "2", "--target", "X",
+        )
+        assert code == 0
+        rows = _csv_rows(out)
+        assert rows == [
+            ["k", "lower", "upper", "n_lower", "n_upper"],
+            ["2", ";".join(ODD_NAMES[1:3] + ("x6", "x8")), ";".join(ODD_NAMES), "4", "8"],
+        ]
+
+    def test_plain_names_are_not_quoted(self, capsys, fixtures_dir):
+        code, out, _ = run_cli(capsys, "neigh", str(fixtures_dir / "price.json"), "--format", "csv")
+        assert code == 0
+        assert '"' not in out
+        assert out.splitlines()[0] == "covering,object,x1,x2,x3,x4,x5,x6,x7,x8,sigma"
 
 
 class TestCliNeigh:
