@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 file parse error, 3 covering validation error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import checks, sysio
@@ -50,19 +51,16 @@ SINGLE_OPS = {
     "dq-any": "dq2",
 }
 
+REGION_OPS = {"prob": "prob", "grade": "grade"}
+
+# mg-<family>1 / -all fold with ALL, mg-<family>2 / -any with ANY
 MG_OPS = {
-    "mg-prob1": ("prob", Combinator.ALL),
-    "mg-prob2": ("prob", Combinator.ANY),
-    "mg-prob-all": ("prob", Combinator.ALL),
-    "mg-prob-any": ("prob", Combinator.ANY),
-    "mg-grade1": ("grade", Combinator.ALL),
-    "mg-grade2": ("grade", Combinator.ANY),
-    "mg-grade-all": ("grade", Combinator.ALL),
-    "mg-grade-any": ("grade", Combinator.ANY),
-    "mg-dq1": ("dq", Combinator.ALL),
-    "mg-dq2": ("dq", Combinator.ANY),
-    "mg-dq-all": ("dq", Combinator.ALL),
-    "mg-dq-any": ("dq", Combinator.ANY),
+    f"mg-{family}{suffix}": (family, comb)
+    for family in ("prob", "grade", "dq")
+    for suffix, comb in (
+        ("1", Combinator.ALL), ("2", Combinator.ANY),
+        ("-all", Combinator.ALL), ("-any", Combinator.ANY),
+    )
 }
 
 
@@ -109,42 +107,64 @@ def _grade_flag(value: str, flag: str) -> Grade:
         raise ParameterError(f"{flag}: {e}") from None
 
 
-def _split_list(value: str) -> list[str]:
-    return [part.strip() for part in value.split(",") if part.strip()]
-
-
-def _pick_space(sf: sysio.SystemFile, covering: str | None):
-    try:
-        return sf.system.space(covering)
-    except StructuralError as e:
-        raise ParameterError(str(e)) from None
-
-
 def _target(sf: sysio.SystemFile, name: str | None):
     if name is None:
         raise ParameterError("--target is required")
-    try:
-        return sf.target(name)
-    except StructuralError as e:
-        raise ParameterError(str(e)) from None
+    return sf.target(name)
 
 
-def _threshold_pair(args) -> ThresholdPair:
-    if args.alpha is None or args.beta is None:
-        raise ParameterError("--alpha and --beta are required for this operator")
-    return ThresholdPair(
-        _degree_flag(args.alpha, "--alpha"), _degree_flag(args.beta, "--beta")
-    )
+def _op_id(ops: dict, args):
+    op = ops.get(args.op)
+    if op is None:
+        raise ParameterError(
+            f"unknown operator id {args.op!r} for {args.command} "
+            f"(choose from {', '.join(sorted(ops))})"
+        )
+    return op
 
 
-def _grade_value(args) -> Grade:
-    if args.k is None:
-        raise ParameterError("--k is required for this operator")
-    return _grade_flag(args.k, "--k")
+def _setup(args, ops: dict):
+    """Load, pick the op, the covering's space and table, the target and the mode."""
+    _reject_gamma(args)
+    sf = sysio.load(args.path)
+    op = _op_id(ops, args)
+    space = sf.system.space(args.covering)
+    table = build_table(space)
+    return sf, op, space, table, _target(sf, args.target), ResidualMode(args.residual_mode)
 
 
-def _mode(args) -> ResidualMode:
-    return ResidualMode.from_string(args.residual_mode)
+def _op_params(args, op: str) -> tuple[ThresholdPair | None, Grade | None]:
+    """The threshold pair and grade that a single-covering op reads."""
+    t = k = None
+    if op != "grade":
+        if args.alpha is None or args.beta is None:
+            raise ParameterError("--alpha and --beta are required for this operator")
+        t = ThresholdPair(
+            _degree_flag(args.alpha, "--alpha"), _degree_flag(args.beta, "--beta")
+        )
+    if op != "prob":
+        if args.k is None:
+            raise ParameterError("--k is required for this operator")
+        k = _grade_flag(args.k, "--k")
+    return t, k
+
+
+def _evaluate(op: str, table, target, t, k, mode):
+    if op == "prob":
+        return prob_approx(table, target, t)
+    if op == "grade":
+        return grade_approx(table, target, k, mode)
+    if op == "dq1":
+        return dq_disjunctive(table, target, t, k, mode)
+    return dq_conjunctive(table, target, t, k, mode)
+
+
+def _emit_result(args, sf: sysio.SystemFile, doc: dict) -> None:
+    doc["residual_mode"] = args.residual_mode
+    if args.format == "csv":
+        _emit(sysio.render_result_csv(doc, sf.universe), args.out)
+    else:
+        _emit(sysio.render_json(doc), args.out)
 
 
 def cmd_validate(args) -> int:
@@ -166,7 +186,7 @@ def cmd_neigh(args) -> int:
     )
     doc = {}
     for name in names:
-        space = _pick_space(sf, name)
+        space = sf.system.space(name)
         table = build_table(space)
         doc[name] = {
             "gamma": format_scaled(space.covering.gamma),
@@ -192,69 +212,31 @@ def cmd_neigh(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    _reject_gamma(args)
-    sf = sysio.load(args.path)
-    op = SINGLE_OPS.get(args.op)
-    if op is None:
-        raise ParameterError(
-            f"unknown operator id {args.op!r} for approx "
-            f"(choose from {', '.join(sorted(SINGLE_OPS))})"
-        )
-    space = _pick_space(sf, args.covering)
-    table = build_table(space)
-    target = _target(sf, args.target)
-    mode = _mode(args)
-    if op == "prob":
-        result = prob_approx(table, target, _threshold_pair(args))
-    elif op == "grade":
-        result = grade_approx(table, target, _grade_value(args), mode)
-    elif op == "dq1":
-        result = dq_disjunctive(table, target, _threshold_pair(args), _grade_value(args), mode)
-    else:
-        result = dq_conjunctive(table, target, _threshold_pair(args), _grade_value(args), mode)
-    doc = sysio.result_document(
+    sf, op, space, table, target, mode = _setup(args, SINGLE_OPS)
+    result = _evaluate(op, table, target, *_op_params(args, op), mode)
+    _emit_result(args, sf, sysio.result_document(
         result,
         covering=space.covering.name,
         target=args.target,
         diagnostics=diagnostics(table, target),
-    )
-    doc["residual_mode"] = mode.value
-    if args.format == "csv":
-        _emit(sysio.render_result_csv(doc, sf.universe), args.out)
-    else:
-        _emit(sysio.render_json(doc), args.out)
+    ))
     return EXIT_OK
 
 
 def cmd_regions(args) -> int:
-    _reject_gamma(args)
-    sf = sysio.load(args.path)
-    if args.op not in ("prob", "grade"):
-        raise ParameterError("regions supports op ids: prob, grade")
-    space = _pick_space(sf, args.covering)
-    table = build_table(space)
-    target = _target(sf, args.target)
-    mode = _mode(args)
-    if args.op == "prob":
-        t = _threshold_pair(args)
+    sf, op, space, table, target, mode = _setup(args, REGION_OPS)
+    t, k = _op_params(args, op)
+    if op == "prob":
         partition = prob_regions(table, target, t)
-        result = prob_approx(table, target, t)
     else:
-        k = _grade_value(args)
         partition = grade_regions(table, target, k, mode)
-        result = grade_approx(table, target, k, mode)
-    doc = sysio.result_document(
-        result,
+    _emit_result(args, sf, sysio.result_document(
+        _evaluate(op, table, target, t, k, mode),
         covering=space.covering.name,
         target=args.target,
         regions=partition,
         diagnostics=diagnostics(table, target),
-    )
-    doc["residual_mode"] = mode.value
-    if args.format == "csv":
-        _emit(sysio.render_result_csv(doc, sf.universe), args.out)
-    else:
-        _emit(sysio.render_json(doc), args.out)
+    ))
     return EXIT_OK
 
 
@@ -262,7 +244,7 @@ def _vector_flags(args, sf, what: str, uniform: str | None, listed: str | None):
     """Expand --alpha/--alphas style flags into one value per covering."""
     m = sf.system.size
     if listed is not None:
-        parts = _split_list(listed)
+        parts = [part.strip() for part in listed.split(",") if part.strip()]
         if len(parts) != m:
             raise ParameterError(
                 f"--{what}s has {len(parts)} entries but the system has {m} coverings"
@@ -276,42 +258,31 @@ def _vector_flags(args, sf, what: str, uniform: str | None, listed: str | None):
 def cmd_mg(args) -> int:
     _reject_gamma(args)
     sf = sysio.load(args.path)
-    entry = MG_OPS.get(args.op)
-    if entry is None:
-        raise ParameterError(
-            f"unknown operator id {args.op!r} for mg "
-            f"(choose from {', '.join(sorted(MG_OPS))})"
-        )
-    family, comb = entry
+    family, comb = _op_id(MG_OPS, args)
     system = sf.system
     target = _target(sf, args.target)
-    mode = _mode(args)
-
-    def thresholds():
+    mode = ResidualMode(args.residual_mode)
+    thresholds = grades = None
+    if family != "grade":
         alphas = _vector_flags(args, sf, "alpha", args.alpha, args.alphas)
         betas = _vector_flags(args, sf, "beta", args.beta, args.betas)
-        return tuple(
+        thresholds = tuple(
             ThresholdPair(_degree_flag(a, "--alphas"), _degree_flag(b, "--betas"))
             for a, b in zip(alphas, betas)
         )
-
-    def grades():
+    if family != "prob":
         ks = _vector_flags(args, sf, "k", args.k, args.ks)
-        return tuple(_grade_flag(v, "--ks") for v in ks)
+        grades = tuple(_grade_flag(v, "--ks") for v in ks)
 
     if family == "prob":
-        result = mg_prob(system, target, thresholds(), comb)
+        result = mg_prob(system, target, thresholds, comb)
     elif family == "grade":
-        result = mg_grade(system, target, grades(), comb, mode)
+        result = mg_grade(system, target, grades, comb, mode)
     else:
-        result = mg_dq(system, target, thresholds(), grades(), comb, mode)
+        result = mg_dq(system, target, thresholds, grades, comb, mode)
     doc = sysio.result_document(result, target=args.target)
-    doc["residual_mode"] = mode.value
     doc["coverings"] = [c.name for c in system.coverings]
-    if args.format == "csv":
-        _emit(sysio.render_result_csv(doc, sf.universe), args.out)
-    else:
-        _emit(sysio.render_json(doc), args.out)
+    _emit_result(args, sf, doc)
     return EXIT_OK
 
 
@@ -345,88 +316,53 @@ def cmd_gen(args) -> int:
 def _grid(spec: str, flag: str, parser) -> list[int]:
     """Closed-interval progression start:stop:step, or a single value."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [parser(parts[0], flag)]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ParameterError(f"{flag}: grid must be start:stop:step, got {spec!r}")
-    start, stop, step = (parser(p, flag) for p in parts)
-    if isinstance(start, Grade):
-        start, stop, step = start.k, stop.k, step.k
+    values = [parser(p, flag) for p in parts]
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise ParameterError(f"{flag}: grid step must be positive")
     if stop < start:
         raise ParameterError(f"{flag}: grid stop is below start")
-    values = list(range(start, stop + 1, step))
-    return values
+    return list(range(start, stop + 1, step))
+
+
+def _grade_units(value: str, flag: str) -> int:
+    return _grade_flag(value, flag).k
 
 
 def cmd_sweep(args) -> int:
-    _reject_gamma(args)
-    sf = sysio.load(args.path)
-    op = SINGLE_OPS.get(args.op)
-    if op is None:
-        raise ParameterError(
-            f"sweep supports single-covering op ids ({', '.join(sorted(SINGLE_OPS))})"
-        )
-    space = _pick_space(sf, args.covering)
-    table = build_table(space)
-    target = _target(sf, args.target)
-    mode = _mode(args)
+    """One row per grid point of the parameters the op reads, as `approx` would."""
+    sf, op, _, table, target, mode = _setup(args, SINGLE_OPS)
+    axes = {}
+    if op != "grade":
+        if not (args.alpha and args.beta):
+            raise ParameterError("--alpha and --beta grids are required for this operator")
+        axes["alpha"] = _grid(args.alpha, "--alpha", _degree_flag)
+        axes["beta"] = _grid(args.beta, "--beta", _degree_flag)
+    if op != "prob":
+        if not args.k:
+            raise ParameterError("--k grid is required for this operator")
+        axes["k"] = _grid(args.k, "--k", _grade_units)
 
-    alphas = _grid(args.alpha, "--alpha", _degree_flag) if args.alpha else [None]
-    betas = _grid(args.beta, "--beta", _degree_flag) if args.beta else [None]
-    ks = (
-        [g if isinstance(g, int) else g.k for g in _grid(args.k, "--k", _grade_flag)]
-        if args.k
-        else [None]
-    )
-
-    needs_t = op in ("prob", "dq1", "dq2")
-    needs_k = op in ("grade", "dq1", "dq2")
-    if needs_t and (alphas == [None] or betas == [None]):
-        raise ParameterError("--alpha and --beta grids are required for this operator")
-    if needs_k and ks == [None]:
-        raise ParameterError("--k grid is required for this operator")
-
-    rows = []
-    for a in alphas:
-        for b in betas:
-            if needs_t and b > a:
-                continue
-            for k in ks:
-                t = ThresholdPair(a, b) if needs_t else None
-                g = Grade(k) if needs_k else None
-                if op == "prob":
-                    r = prob_approx(table, target, t)
-                elif op == "grade":
-                    r = grade_approx(table, target, g, mode)
-                elif op == "dq1":
-                    r = dq_disjunctive(table, target, t, g, mode)
-                else:
-                    r = dq_conjunctive(table, target, t, g, mode)
-                rows.append((a, b, k, r))
-
-    header = []
-    if needs_t:
-        header += ["alpha", "beta"]
-    if needs_k:
-        header.append("k")
-    header += ["lower", "upper", "n_lower", "n_upper"]
-    csv_rows = [header]
-    for a, b, k, r in rows:
-        cells = []
-        if needs_t:
-            cells += [format_scaled(a), format_scaled(b)]
-        if needs_k:
-            cells.append(format_scaled(k))
-        cells += [
+    rows = [[*axes, "lower", "upper", "n_lower", "n_upper"]]
+    for point in itertools.product(*axes.values()):
+        p = dict(zip(axes, point))
+        if "alpha" in p and p["beta"] > p["alpha"]:
+            continue
+        t = ThresholdPair(p["alpha"], p["beta"]) if "alpha" in p else None
+        k = Grade(p["k"]) if "k" in p else None
+        r = _evaluate(op, table, target, t, k, mode)
+        rows.append([
+            *map(format_scaled, point),
             ";".join(r.lower),
             ";".join(r.upper),
             str(len(r.lower)),
             str(len(r.upper)),
-        ]
-        csv_rows.append(cells)
-    _emit(sysio.render_csv(csv_rows), args.out)
+        ])
+    _emit(sysio.render_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -521,24 +457,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _ArgumentError as e:
+    except (_ArgumentError, ParameterError, StructuralError) as e:
         print(f"parameter error: {e}", file=sys.stderr)
         return EXIT_PARAMETER
-    except ParameterError as e:
-        print(f"parameter error: {e}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except sysio.ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except DecimalFormatError as e:
+    except (sysio.ParseError, DecimalFormatError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except StructuralError as e:
-        print(f"parameter error: {e}", file=sys.stderr)
-        return EXIT_PARAMETER
 
 
 if __name__ == "__main__":

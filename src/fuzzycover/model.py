@@ -106,9 +106,6 @@ class FuzzySet:
         if self.universe != other.universe:
             raise StructuralError("fuzzy sets defined over different universes")
 
-    def at(self, name: str) -> int:
-        return self.memberships[self.universe.index(name)]
-
     def union(self, other: "FuzzySet") -> "FuzzySet":
         self._check_same_universe(other)
         return FuzzySet(
@@ -223,8 +220,9 @@ def validate_covering(covering: FuzzyCovering) -> ValidationReport:
     """Check both covering conditions; reports violations, never raises."""
     empty = tuple(n for n, s in covering.members if s.is_empty())
     uncovered = []
-    for i, obj in enumerate(covering.universe.objects):
-        best = max(s.memberships[i] for s in covering.member_sets)
+    degrees_per_object = zip(*(s.memberships for s in covering.member_sets))
+    for obj, degrees in zip(covering.universe.objects, degrees_per_object):
+        best = max(degrees)
         if best < covering.gamma:
             uncovered.append((obj, best))
     return ValidationReport(covering.name, empty, tuple(uncovered))

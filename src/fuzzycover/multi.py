@@ -1,18 +1,23 @@
 """Multi-granulation fusion over a family of coverings.
 
 Each covering contributes its own neighborhoods (using its own gamma) and its
-own parameter slot.  Two combinators fold the per-covering predicates:
+own parameter slot, and `single.flags` gives its per-object lower and upper
+test flags.  Two combinators fold them over the coverings:
 
   ALL (type I):  every covering must pass its test  (per-object conjunction),
   ANY (type II): some covering must pass its test   (per-object disjunction).
 
+The double-quantitative fusion joins each covering's two tests with the same
+combinator: under ALL every covering must pass both, under ANY some covering
+must pass either (Qian et al., "MGRS: A multi-granulation rough set", 2010).
 Conjunction/disjunction distributes over the per-covering predicates, so each
 fused operator equals the intersection/union of the per-covering results; the
-operators are evaluated predicate-wise and the set identities are enforced by
-the test suite and the brute-force checker.
+set identities are enforced by the test suite and the brute-force checker.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .exact import format_scaled
 from .model import (
@@ -24,27 +29,13 @@ from .model import (
     ThresholdPair,
     ThresholdVector,
 )
-from .neighborhood import NeighborhoodTable, build_table
-from .single import (
-    ApproximationResult,
-    ResidualMode,
-    _grade_lower_pred,
-    _grade_upper_pred,
-    _prob_pred,
-    mass_sums,
-    overlap_sums,
-)
+from .neighborhood import build_table
+from .single import ApproximationResult, ResidualMode, approximation, flags
 
 
 class Combinator:
     ALL = "all"   # type I: conjunction over coverings
     ANY = "any"   # type II: disjunction over coverings
-
-    @classmethod
-    def from_string(cls, text: str) -> str:
-        if text in (cls.ALL, cls.ANY):
-            return text
-        raise ParameterError(f"unknown combinator: {text!r} (use all|any)")
 
 
 def vector_leq(a, b) -> bool:
@@ -60,10 +51,6 @@ def vector_leq(a, b) -> bool:
     raise ParameterError("vectors must both hold threshold pairs or both hold grades")
 
 
-def _tables(system: MultiGranulationSystem) -> tuple[NeighborhoodTable, ...]:
-    return tuple(build_table(system.space(c.name)) for c in system.coverings)
-
-
 def _check_vector(system: MultiGranulationSystem, vec, what: str) -> None:
     if len(vec) != system.size:
         raise ParameterError(
@@ -71,26 +58,42 @@ def _check_vector(system: MultiGranulationSystem, vec, what: str) -> None:
         )
 
 
-def _fold(flag_rows: list[list[bool]], combinator: str) -> list[bool]:
-    joined = zip(*flag_rows)
-    if combinator == Combinator.ALL:
-        return [all(col) for col in joined]
-    return [any(col) for col in joined]
-
-
-def _result(
+def _fold(
     system: MultiGranulationSystem,
-    operator: str,
-    params: tuple[tuple[str, str], ...],
-    lower_flags: list[bool],
-    upper_flags: list[bool],
+    target: FuzzySet,
+    family: str,
+    combinator: str,
+    thresholds: ThresholdVector | None = None,
+    grades: GradeVector | None = None,
+    mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
-    objs = system.universe.objects
-    return ApproximationResult(
-        operator,
-        params,
-        tuple(n for n, f in zip(objs, lower_flags) if f),
-        tuple(n for n, f in zip(objs, upper_flags) if f),
+    """Fold each covering's `flags` over the coverings with all/any."""
+    join = all if combinator == Combinator.ALL else any
+    params = []
+    if thresholds is not None:
+        _check_vector(system, thresholds, "threshold")
+        params += [
+            ("alphas", ",".join(format_scaled(t.alpha) for t in thresholds)),
+            ("betas", ",".join(format_scaled(t.beta) for t in thresholds)),
+        ]
+    if grades is not None:
+        _check_vector(system, grades, "grade")
+        params.append(("ks", ",".join(format_scaled(g.k) for g in grades)))
+    params.append(("combinator", combinator))
+    if grades is not None:
+        params.append(("residual_mode", mode.value))
+    per_covering = [
+        flags(build_table(system.space(c.name)), target, t, k, mode, join)
+        for c, t, k in zip(
+            system.coverings, thresholds or repeat(None), grades or repeat(None)
+        )
+    ]
+    lowers, uppers = zip(*per_covering)
+    return approximation(
+        system.universe.objects,
+        f"mg-{family}-{combinator}",
+        tuple(params),
+        (list(map(join, zip(*lowers))), list(map(join, zip(*uppers)))),
     )
 
 
@@ -101,24 +104,7 @@ def mg_prob(
     combinator: str,
 ) -> ApproximationResult:
     """Fused probabilistic approximations across all coverings."""
-    _check_vector(system, thresholds, "threshold")
-    tables = _tables(system)
-    lower_rows, upper_rows = [], []
-    for table, t in zip(tables, thresholds):
-        ov = overlap_sums(table, target)
-        lower_rows.append([_prob_pred(o, s, t.alpha) for o, s in zip(ov, table.sigma)])
-        upper_rows.append([_prob_pred(o, s, t.beta) for o, s in zip(ov, table.sigma)])
-    return _result(
-        system,
-        f"mg-prob-{combinator}",
-        (
-            ("alphas", ",".join(format_scaled(t.alpha) for t in thresholds)),
-            ("betas", ",".join(format_scaled(t.beta) for t in thresholds)),
-            ("combinator", combinator),
-        ),
-        _fold(lower_rows, combinator),
-        _fold(upper_rows, combinator),
-    )
+    return _fold(system, target, "prob", combinator, thresholds=thresholds)
 
 
 def mg_grade(
@@ -129,25 +115,7 @@ def mg_grade(
     mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
     """Fused grade approximations across all coverings."""
-    _check_vector(system, grades, "grade")
-    tables = _tables(system)
-    lower_rows, upper_rows = [], []
-    for table, g in zip(tables, grades):
-        ov = overlap_sums(table, target)
-        mass = mass_sums(table, target, mode)
-        lower_rows.append([_grade_lower_pred(m, g.k) for m in mass])
-        upper_rows.append([_grade_upper_pred(o, g.k) for o in ov])
-    return _result(
-        system,
-        f"mg-grade-{combinator}",
-        (
-            ("ks", ",".join(format_scaled(g.k) for g in grades)),
-            ("combinator", combinator),
-            ("residual_mode", mode.value),
-        ),
-        _fold(lower_rows, combinator),
-        _fold(upper_rows, combinator),
-    )
+    return _fold(system, target, "grade", combinator, grades=grades, mode=mode)
 
 
 def mg_dq(
@@ -163,49 +131,4 @@ def mg_dq(
     Under ALL each covering must pass both of its tests; under ANY some
     covering must pass either of its tests.
     """
-    _check_vector(system, thresholds, "threshold")
-    _check_vector(system, grades, "grade")
-    tables = _tables(system)
-    lower_rows, upper_rows = [], []
-    for table, t, g in zip(tables, thresholds, grades):
-        ov = overlap_sums(table, target)
-        mass = mass_sums(table, target, mode)
-        if combinator == Combinator.ALL:
-            lower_rows.append(
-                [
-                    _prob_pred(o, s, t.alpha) and _grade_lower_pred(m, g.k)
-                    for o, s, m in zip(ov, table.sigma, mass)
-                ]
-            )
-            upper_rows.append(
-                [
-                    _prob_pred(o, s, t.beta) and _grade_upper_pred(o, g.k)
-                    for o, s in zip(ov, table.sigma)
-                ]
-            )
-        else:
-            lower_rows.append(
-                [
-                    _prob_pred(o, s, t.alpha) or _grade_lower_pred(m, g.k)
-                    for o, s, m in zip(ov, table.sigma, mass)
-                ]
-            )
-            upper_rows.append(
-                [
-                    _prob_pred(o, s, t.beta) or _grade_upper_pred(o, g.k)
-                    for o, s in zip(ov, table.sigma)
-                ]
-            )
-    return _result(
-        system,
-        f"mg-dq-{combinator}",
-        (
-            ("alphas", ",".join(format_scaled(t.alpha) for t in thresholds)),
-            ("betas", ",".join(format_scaled(t.beta) for t in thresholds)),
-            ("ks", ",".join(format_scaled(g.k) for g in grades)),
-            ("combinator", combinator),
-            ("residual_mode", mode.value),
-        ),
-        _fold(lower_rows, combinator),
-        _fold(upper_rows, combinator),
-    )
+    return _fold(system, target, "dq", combinator, thresholds, grades, mode)

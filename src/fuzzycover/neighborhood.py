@@ -51,12 +51,9 @@ class NeighborhoodTable:
         return self.rows[self.universe.index(name)]
 
 
-def _signature(space: ApproximationSpace, index: int) -> tuple[int, ...]:
+def _signature(sets: tuple[FuzzySet, ...], gamma: int, index: int) -> tuple[int, ...]:
     """Positions of the covering members whose degree at the object reaches gamma."""
-    gamma = space.covering.gamma
-    return tuple(
-        j for j, s in enumerate(space.covering.member_sets) if s.memberships[index] >= gamma
-    )
+    return tuple(j for j, s in enumerate(sets) if s.memberships[index] >= gamma)
 
 
 def _pointwise_min(universe: Universe, sets: list[FuzzySet]) -> FuzzySet:
@@ -66,21 +63,25 @@ def _pointwise_min(universe: Universe, sets: list[FuzzySet]) -> FuzzySet:
     return FuzzySet(universe, tuple(map(min, *(s.memberships for s in sets))))
 
 
-def _meet(space: ApproximationSpace, signature: tuple[int, ...]) -> FuzzySet:
+def _meet(
+    universe: Universe, sets: tuple[FuzzySet, ...], signature: tuple[int, ...]
+) -> FuzzySet:
     # the covering condition guarantees the signature is non-empty
-    sets = space.covering.member_sets
-    return _pointwise_min(space.universe, [sets[j] for j in signature])
+    return _pointwise_min(universe, [sets[j] for j in signature])
 
 
 def qualifying_members(space: ApproximationSpace, index: int) -> tuple[str, ...]:
     """Names of covering members whose degree at the object reaches gamma."""
-    names = space.covering.member_names
-    return tuple(names[j] for j in _signature(space, index))
+    covering = space.covering
+    names = covering.member_names
+    return tuple(names[j] for j in _signature(covering.member_sets, covering.gamma, index))
 
 
 def fuzzy_gamma_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
     """Pointwise min of all members with degree >= gamma at the object."""
-    return _meet(space, _signature(space, space.universe.index(name)))
+    sets = space.covering.member_sets
+    signature = _signature(sets, space.covering.gamma, space.universe.index(name))
+    return _meet(space.universe, sets, signature)
 
 
 def crisp_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
@@ -94,11 +95,12 @@ def crisp_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
 
 def build_table(space: ApproximationSpace) -> NeighborhoodTable:
     """One row per distinct signature, in order of first occurrence."""
+    sets, gamma = space.covering.member_sets, space.covering.gamma
     slots: dict[tuple[int, ...], int] = {}
     index = tuple(
-        slots.setdefault(_signature(space, i), len(slots))
+        slots.setdefault(_signature(sets, gamma, i), len(slots))
         for i in range(space.universe.size)
     )
-    distinct = tuple(_meet(space, signature) for signature in slots)
+    distinct = tuple(_meet(space.universe, sets, signature) for signature in slots)
     sigma = tuple(row.sigma_count() for row in distinct)
     return NeighborhoodTable(space, distinct, sigma, index)

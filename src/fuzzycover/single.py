@@ -15,9 +15,15 @@ on fuzzy ones:
   complement:  sum((1 - X) & N_x)
 
 `residual` is the default; `complement` is available for textual fidelity to
-the alternative formula.  Double-quantitative operators conjoin/disjoin the
-two primitive predicates per object, which makes their decomposition into
-intersections/unions of the one-test operators an exact identity.
+the alternative formula.
+
+Every operator has one shape: `flags` gives each object a lower and an upper
+flag from the selected tests.  prob and grade run one test each; the
+double-quantitative operators run both and join each object's two flags with
+`all` (dq1) or `any` (dq2), which makes their decomposition into
+intersections/unions of the one-test operators an exact identity.  Regions
+are the set algebra of one (lower, upper) pair, and the multi-granulation
+operators (multi.py) fold the flags of each covering with `all`/`any`.
 """
 
 from __future__ import annotations
@@ -34,13 +40,6 @@ from .neighborhood import NeighborhoodTable
 class ResidualMode(Enum):
     RESIDUAL = "residual"
     COMPLEMENT = "complement"
-
-    @classmethod
-    def from_string(cls, text: str) -> "ResidualMode":
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise ParameterError(f"unknown residual mode: {text!r} (use residual|complement)")
 
 
 @dataclass(frozen=True)
@@ -116,57 +115,104 @@ def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str) -> Fraction
     return Fraction(num, table.sigma[i])
 
 
-# per-object primitive predicates (micro-unit integers throughout)
+def flags(
+    table: NeighborhoodTable,
+    target: FuzzySet,
+    t: ThresholdPair | None = None,
+    k: Grade | None = None,
+    mode: ResidualMode = ResidualMode.RESIDUAL,
+    join=all,
+) -> tuple[list[bool], list[bool]]:
+    """Per-object (lower, upper) flags of the selected tests.
 
-def _prob_pred(overlap: int, sigma: int, threshold: int) -> bool:
-    return ratio_ge(overlap, sigma, threshold)
+    The prob tests (P >= alpha, P >= beta) run when `t` is given, the grade
+    tests (mass <= k, overlap > k) when `k` is given; with both, each object's
+    two lower flags and two upper flags are joined by `join` (`all` for dq1,
+    `any` for dq2).
+    """
+    ov = overlap_sums(table, target)
+    tests = []
+    if t is not None:
+        tests.append((
+            [ratio_ge(o, s, t.alpha) for o, s in zip(ov, table.sigma)],
+            [ratio_ge(o, s, t.beta) for o, s in zip(ov, table.sigma)],
+        ))
+    if k is not None:
+        mass = mass_sums(table, target, mode)
+        tests.append(([m <= k.k for m in mass], [o > k.k for o in ov]))
+    lowers, uppers = zip(*tests)
+    return list(map(join, zip(*lowers))), list(map(join, zip(*uppers)))
 
 
-def _grade_upper_pred(overlap: int, k: int) -> bool:
-    return overlap > k
+def approximation(
+    objects: tuple[str, ...],
+    operator: str,
+    params: tuple[tuple[str, str], ...],
+    lower_upper: tuple[list[bool], list[bool]],
+) -> ApproximationResult:
+    """The objects flagged lower and upper, in universe order."""
+    lower, upper = lower_upper
+    return ApproximationResult(
+        operator,
+        params,
+        tuple(n for n, f in zip(objects, lower) if f),
+        tuple(n for n, f in zip(objects, upper) if f),
+    )
 
 
-def _grade_lower_pred(mass: int, k: int) -> bool:
-    return mass <= k
+def _approx(
+    table: NeighborhoodTable,
+    target: FuzzySet,
+    operator: str,
+    t: ThresholdPair | None = None,
+    k: Grade | None = None,
+    mode: ResidualMode = ResidualMode.RESIDUAL,
+    join=all,
+) -> ApproximationResult:
+    params = []
+    if t is not None:
+        params += [("alpha", format_scaled(t.alpha)), ("beta", format_scaled(t.beta))]
+    if k is not None:
+        params += [("k", format_scaled(k.k)), ("residual_mode", mode.value)]
+    return approximation(
+        table.universe.objects, operator, tuple(params),
+        flags(table, target, t, k, mode, join),
+    )
 
 
-def _names(table: NeighborhoodTable, flags) -> tuple[str, ...]:
-    return tuple(n for n, f in zip(table.universe.objects, flags) if f)
-
-
-def _echo(**kwargs) -> tuple[tuple[str, str], ...]:
-    return tuple((k, v) for k, v in kwargs.items() if v is not None)
+def _partition(
+    table: NeighborhoodTable, kind: str, lower_upper: tuple[list[bool], list[bool]]
+) -> RegionPartition:
+    """POS = lower & upper, NEG = neither, LBO = lower - upper,
+    UBO = upper - lower, BOU = LBO | UBO; the three-way split omits LBO/UBO."""
+    objects = table.universe.objects
+    lower, upper = lower_upper
+    cells = {(True, True): [], (False, False): [], (True, False): [], (False, True): []}
+    for name, lo, up in zip(objects, lower, upper):
+        cells[lo, up].append(name)
+    pos, neg, lbo, ubo = map(tuple, cells.values())
+    bou = tuple(n for n, lo, up in zip(objects, lower, upper) if lo != up)
+    if kind == "three":
+        return RegionPartition(kind, pos, bou, neg)
+    return RegionPartition(kind, pos, bou, neg, lbo, ubo)
 
 
 def prob_approx(
     table: NeighborhoodTable, target: FuzzySet, t: ThresholdPair
 ) -> ApproximationResult:
     """Probabilistic approximations: lower = {P >= alpha}, upper = {P >= beta}."""
-    ov = overlap_sums(table, target)
-    lower = [_prob_pred(o, s, t.alpha) for o, s in zip(ov, table.sigma)]
-    upper = [_prob_pred(o, s, t.beta) for o, s in zip(ov, table.sigma)]
-    return ApproximationResult(
-        "prob",
-        _echo(alpha=format_scaled(t.alpha), beta=format_scaled(t.beta)),
-        _names(table, lower),
-        _names(table, upper),
-    )
+    return _approx(table, target, "prob", t=t)
 
 
 def prob_regions(
     table: NeighborhoodTable, target: FuzzySet, t: ThresholdPair
 ) -> RegionPartition:
-    """Three-way partition: POS = {P >= alpha}, BOU = {beta <= P < alpha}, NEG rest."""
-    ov = overlap_sums(table, target)
-    pos, bou, neg = [], [], []
-    for name, o, s in zip(table.universe.objects, ov, table.sigma):
-        if ratio_ge(o, s, t.alpha):
-            pos.append(name)
-        elif ratio_ge(o, s, t.beta):
-            bou.append(name)
-        else:
-            neg.append(name)
-    return RegionPartition("three", tuple(pos), tuple(bou), tuple(neg))
+    """Three-way partition: POS = {P >= alpha}, BOU = {beta <= P < alpha}, NEG rest.
+
+    beta <= alpha makes lower a subset of upper, so this is the split of
+    `_partition` without its LBO (always empty) and UBO (= BOU) parts.
+    """
+    return _partition(table, "three", flags(table, target, t=t))
 
 
 def grade_approx(
@@ -176,16 +222,7 @@ def grade_approx(
     mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
     """Grade approximations: upper = {overlap > k}, lower = {mass <= k}."""
-    ov = overlap_sums(table, target)
-    mass = mass_sums(table, target, mode)
-    lower = [_grade_lower_pred(m, k.k) for m in mass]
-    upper = [_grade_upper_pred(o, k.k) for o in ov]
-    return ApproximationResult(
-        "grade",
-        _echo(k=format_scaled(k.k), residual_mode=mode.value),
-        _names(table, lower),
-        _names(table, upper),
-    )
+    return _approx(table, target, "grade", k=k, mode=mode)
 
 
 def grade_regions(
@@ -199,15 +236,7 @@ def grade_regions(
     POS = upper & lower, NEG = complement of their union, LBO = lower - upper,
     UBO = upper - lower, BOU = LBO | UBO.
     """
-    result = grade_approx(table, target, k, mode)
-    lower, upper = result.lower_set, result.upper_set
-    objs = table.universe.objects
-    pos = tuple(n for n in objs if n in lower and n in upper)
-    neg = tuple(n for n in objs if n not in lower and n not in upper)
-    lbo = tuple(n for n in objs if n in lower and n not in upper)
-    ubo = tuple(n for n in objs if n in upper and n not in lower)
-    bou = tuple(n for n in objs if n in lbo or n in ubo)
-    return RegionPartition("five", pos, bou, neg, lbo, ubo)
+    return _partition(table, "five", flags(table, target, k=k, mode=mode))
 
 
 def dq_disjunctive(
@@ -217,28 +246,8 @@ def dq_disjunctive(
     k: Grade,
     mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
-    """Both tests must pass: lower = {P >= alpha and mass <= k}, upper likewise."""
-    ov = overlap_sums(table, target)
-    mass = mass_sums(table, target, mode)
-    lower = [
-        _prob_pred(o, s, t.alpha) and _grade_lower_pred(m, k.k)
-        for o, s, m in zip(ov, table.sigma, mass)
-    ]
-    upper = [
-        _prob_pred(o, s, t.beta) and _grade_upper_pred(o, k.k)
-        for o, s in zip(ov, table.sigma)
-    ]
-    return ApproximationResult(
-        "dq1",
-        _echo(
-            alpha=format_scaled(t.alpha),
-            beta=format_scaled(t.beta),
-            k=format_scaled(k.k),
-            residual_mode=mode.value,
-        ),
-        _names(table, lower),
-        _names(table, upper),
-    )
+    """dq1: both tests must pass: lower = {P >= alpha and mass <= k}, upper likewise."""
+    return _approx(table, target, "dq1", t, k, mode, all)
 
 
 def dq_conjunctive(
@@ -248,28 +257,8 @@ def dq_conjunctive(
     k: Grade,
     mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
-    """Either test suffices: lower = {P >= alpha or mass <= k}, upper likewise."""
-    ov = overlap_sums(table, target)
-    mass = mass_sums(table, target, mode)
-    lower = [
-        _prob_pred(o, s, t.alpha) or _grade_lower_pred(m, k.k)
-        for o, s, m in zip(ov, table.sigma, mass)
-    ]
-    upper = [
-        _prob_pred(o, s, t.beta) or _grade_upper_pred(o, k.k)
-        for o, s in zip(ov, table.sigma)
-    ]
-    return ApproximationResult(
-        "dq2",
-        _echo(
-            alpha=format_scaled(t.alpha),
-            beta=format_scaled(t.beta),
-            k=format_scaled(k.k),
-            residual_mode=mode.value,
-        ),
-        _names(table, lower),
-        _names(table, upper),
-    )
+    """dq2: either test suffices: lower = {P >= alpha or mass <= k}, upper likewise."""
+    return _approx(table, target, "dq2", t, k, mode, any)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ numbers are rejected.  Shape:
     }
 
 Expert blocks are unioned (pointwise max across experts, per set name) into
-one covering each at load time, appended after the plain coverings.  Emitted
+one covering each at load time, appended after the plain coverings.  A key
+repeated inside any object, or a top-level key outside the four above, is a
+parse error rather than silently last-wins or ignored.  Emitted
 files are canonical: universe order everywhere, minimal decimal strings,
 two-space indentation, sorted result keys.
 """
@@ -51,6 +53,23 @@ class ParseError(ValueError):
 
 def _fail(path: str, msg: str) -> "ParseError":
     return ParseError(f"{path}: {msg}")
+
+
+TOP_LEVEL_KEYS = ("universe", "coverings", "experts", "targets")
+
+
+def _unique_keys(origin: str):
+    """json object hook that refuses a key repeated inside one object."""
+
+    def build(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise _fail(origin, f"duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
+    return build
 
 
 def _need(obj, key, kind, where):
@@ -127,11 +146,17 @@ class SystemFile:
 
 def loads(text: str, origin: str = "<string>") -> SystemFile:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys(origin))
     except json.JSONDecodeError as e:
         raise ParseError(f"{origin}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
     if not isinstance(doc, dict):
         raise _fail(origin, "top level must be an object")
+    unknown = [key for key in doc if key not in TOP_LEVEL_KEYS]
+    if unknown:
+        raise _fail(
+            origin,
+            f"unknown top-level key {unknown[0]!r} (expected {', '.join(TOP_LEVEL_KEYS)})",
+        )
 
     names = _need(doc, "universe", list, origin)
     if not all(isinstance(n, str) for n in names):

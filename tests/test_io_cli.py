@@ -49,6 +49,31 @@ class TestLoad:
         with pytest.raises(sysio.ParseError, match="line 1"):
             sysio.loads("{not json", origin="buffer")
 
+    def test_rejects_duplicate_keys(self, capsys, tmp_path, price_file):
+        text = sysio.dumps(price_file)
+        twice = text.replace('"targets": {', '"targets": {\n    "X": ["1", "1", "1", "1", "1", "1", "1", "1"],', 1)
+        with pytest.raises(sysio.ParseError, match="duplicate key 'X'"):
+            sysio.loads(twice)
+        nested = text.replace('"name": "high",', '"name": "high", "name": "low",', 1)
+        with pytest.raises(sysio.ParseError, match="duplicate key 'name'"):
+            sysio.loads(nested)
+        bad = tmp_path / "dup.json"
+        bad.write_text(twice)
+        code, _, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2
+        assert "duplicate key" in err
+
+    def test_rejects_unknown_top_level_keys(self, capsys, tmp_path, price_file):
+        doc = json.loads(sysio.dumps(price_file))
+        doc["targts"] = doc["targets"]
+        with pytest.raises(sysio.ParseError, match="unknown top-level key 'targts'"):
+            sysio.loads(json.dumps(doc))
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2
+        assert "targts" in err
+
     def test_validation_failure_names_offender(self, price_file):
         doc = json.loads(sysio.dumps(price_file))
         doc["coverings"][0]["gamma"] = "0.95"
@@ -404,6 +429,34 @@ class TestCliSweep:
         for line in out.strip().splitlines()[1:]:
             a, b = line.split(",")[:2]
             assert parse_scaled(a) >= parse_scaled(b)
+
+    @pytest.mark.parametrize("mode", ["residual", "complement"])
+    @pytest.mark.parametrize("op", ["prob", "grade", "dq1", "dq2", "dq-all", "dq-any"])
+    def test_one_point_equals_approx(self, capsys, fixtures_dir, op, mode):
+        params = ["--alpha", "0.75", "--beta", "0.6", "--k", "2.6", "--target", "X",
+                  "--residual-mode", mode]
+        path = str(fixtures_dir / "price.json")
+        code, out, _ = run_cli(capsys, "approx", path, "--op", op, *params)
+        assert code == 0
+        doc = json.loads(out)
+        code, out, _ = run_cli(capsys, "sweep", path, "--op", op, *params)
+        assert code == 0
+        header, row = _csv_rows(out)
+        cells = dict(zip(header, row))
+        assert cells["lower"] == ";".join(doc["lower"])
+        assert cells["upper"] == ";".join(doc["upper"])
+
+    def test_unused_grid_adds_no_rows(self, capsys, fixtures_dir):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", str(fixtures_dir / "price.json"),
+            "--op", "grade", "--k", "2", "--alpha", "0:1:0.5", "--target", "X",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "k,lower,upper,n_lower,n_upper",
+            "2,x2;x3;x6;x8,x1;x2;x3;x4;x5;x6;x7;x8,4,8",
+        ]
 
     def test_malformed_grid_exits_4(self, capsys, fixtures_dir):
         code, _, err = run_cli(
