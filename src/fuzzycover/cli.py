@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 from . import checks, sysio
-from .exact import DecimalFormatError, format_scaled, parse_degree
+from .exact import DecimalFormatError, format_scaled, parse_degree, parse_scaled
 from .generate import generate_system
 from .model import (
     Grade,
@@ -93,24 +94,12 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _degree_flag(value: str, flag: str) -> int:
+def _parse(param: str, text: str, flag: str | None = None) -> int:
+    """Micro-units of a flag value: any decimal for k, a degree in [0, 1] otherwise."""
     try:
-        return parse_degree(value)
+        return (parse_scaled if param == "k" else parse_degree)(text)
     except DecimalFormatError as e:
-        raise ParameterError(f"{flag}: {e}") from None
-
-
-def _grade_flag(value: str, flag: str) -> Grade:
-    try:
-        return Grade.from_string(value)
-    except DecimalFormatError as e:
-        raise ParameterError(f"{flag}: {e}") from None
-
-
-def _target(sf: sysio.SystemFile, name: str | None):
-    if name is None:
-        raise ParameterError("--target is required")
-    return sf.target(name)
+        raise ParameterError(f"{flag or '--' + param}: {e}") from None
 
 
 def _op_id(ops: dict, args):
@@ -124,28 +113,45 @@ def _op_id(ops: dict, args):
 
 
 def _setup(args, ops: dict):
-    """Load, pick the op, the covering's space and table, the target and the mode."""
+    """Reject --gamma, load the file, pick the op, the target and the mode."""
     _reject_gamma(args)
     sf = sysio.load(args.path)
     op = _op_id(ops, args)
-    space = sf.system.space(args.covering)
-    table = build_table(space)
-    return sf, op, space, table, _target(sf, args.target), ResidualMode(args.residual_mode)
+    if args.target is None:
+        raise ParameterError("--target is required")
+    return sf, op, sf.target(args.target), ResidualMode(args.residual_mode)
 
 
-def _op_params(args, op: str) -> tuple[ThresholdPair | None, Grade | None]:
-    """The threshold pair and grade that a single-covering op reads."""
-    t = k = None
-    if op != "grade":
-        if args.alpha is None or args.beta is None:
-            raise ParameterError("--alpha and --beta are required for this operator")
-        t = ThresholdPair(
-            _degree_flag(args.alpha, "--alpha"), _degree_flag(args.beta, "--beta")
-        )
-    if op != "prob":
-        if args.k is None:
-            raise ParameterError("--k is required for this operator")
-        k = _grade_flag(args.k, "--k")
+def _covering_table(sf: sysio.SystemFile, name: str | None):
+    space = sf.system.space(name)
+    return space, build_table(space)
+
+
+def _given(family: str, read) -> dict:
+    """{param: read(param)} for the parameters an op family reads.
+
+    Every family reads alpha and beta unless it is a grade op, and k unless it
+    is a prob op.  `read` returns None for a flag that was not given.
+    """
+    values = {}
+    for param in ("alpha", "beta") * (family != "grade") + ("k",) * (family != "prob"):
+        values[param] = read(param)
+        if values[param] is None:
+            raise ParameterError(f"--{param} is required for this operator")
+    return values
+
+
+def _flags(args, parse):
+    """A `_given` reader that applies `parse(param, text)` to each given flag."""
+    return lambda param: (
+        None if getattr(args, param) is None else parse(param, getattr(args, param))
+    )
+
+
+def _point(values: dict) -> tuple[ThresholdPair | None, Grade | None]:
+    """The threshold pair and the grade of one parameter point, None where not read."""
+    t = ThresholdPair(values["alpha"], values["beta"]) if "alpha" in values else None
+    k = Grade(values["k"]) if "k" in values else None
     return t, k
 
 
@@ -212,10 +218,11 @@ def cmd_neigh(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    sf, op, space, table, target, mode = _setup(args, SINGLE_OPS)
-    result = _evaluate(op, table, target, *_op_params(args, op), mode)
+    sf, op, target, mode = _setup(args, SINGLE_OPS)
+    space, table = _covering_table(sf, args.covering)
+    t, k = _point(_given(op, _flags(args, _parse)))
     _emit_result(args, sf, sysio.result_document(
-        result,
+        _evaluate(op, table, target, t, k, mode),
         covering=space.covering.name,
         target=args.target,
         diagnostics=diagnostics(table, target),
@@ -224,8 +231,9 @@ def cmd_approx(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    sf, op, space, table, target, mode = _setup(args, REGION_OPS)
-    t, k = _op_params(args, op)
+    sf, op, target, mode = _setup(args, REGION_OPS)
+    space, table = _covering_table(sf, args.covering)
+    t, k = _point(_given(op, _flags(args, _parse)))
     if op == "prob":
         partition = prob_regions(table, target, t)
     else:
@@ -240,40 +248,32 @@ def cmd_regions(args) -> int:
     return EXIT_OK
 
 
-def _vector_flags(args, sf, what: str, uniform: str | None, listed: str | None):
-    """Expand --alpha/--alphas style flags into one value per covering."""
-    m = sf.system.size
-    if listed is not None:
+def _per_covering(args, m: int):
+    """A `_given` reader: one value per covering, from --<param>s or a uniform --<param>."""
+
+    def read(param: str):
+        uniform, listed = getattr(args, param), getattr(args, param + "s")
+        if listed is None:
+            return None if uniform is None else (_parse(param, uniform),) * m
+        if uniform is not None:
+            raise ParameterError(f"--{param} and --{param}s both given; pass one of them")
         parts = [part.strip() for part in listed.split(",") if part.strip()]
         if len(parts) != m:
             raise ParameterError(
-                f"--{what}s has {len(parts)} entries but the system has {m} coverings"
+                f"--{param}s has {len(parts)} entries but the system has {m} coverings"
             )
-        return parts
-    if uniform is not None:
-        return [uniform] * m
-    raise ParameterError(f"--{what} or --{what}s is required for this operator")
+        return tuple(_parse(param, part, f"--{param}s") for part in parts)
+
+    return read
 
 
 def cmd_mg(args) -> int:
-    _reject_gamma(args)
-    sf = sysio.load(args.path)
-    family, comb = _op_id(MG_OPS, args)
+    sf, (family, comb), target, mode = _setup(args, MG_OPS)
     system = sf.system
-    target = _target(sf, args.target)
-    mode = ResidualMode(args.residual_mode)
-    thresholds = grades = None
-    if family != "grade":
-        alphas = _vector_flags(args, sf, "alpha", args.alpha, args.alphas)
-        betas = _vector_flags(args, sf, "beta", args.beta, args.betas)
-        thresholds = tuple(
-            ThresholdPair(_degree_flag(a, "--alphas"), _degree_flag(b, "--betas"))
-            for a, b in zip(alphas, betas)
-        )
-    if family != "prob":
-        ks = _vector_flags(args, sf, "k", args.k, args.ks)
-        grades = tuple(_grade_flag(v, "--ks") for v in ks)
-
+    values = _given(family, _per_covering(args, system.size))
+    thresholds, grades = zip(*(
+        _point({param: v[i] for param, v in values.items()}) for i in range(system.size)
+    ))
     if family == "prob":
         result = mg_prob(system, target, thresholds, comb)
     elif family == "grade":
@@ -305,7 +305,7 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     if args.n < 1 or args.m < 1 or args.members < 1:
         raise ParameterError("--n, --m and --members must all be >= 1")
-    gamma = _degree_flag(args.gamma, "--gamma")
+    gamma = _parse("gamma", args.gamma)
     if gamma == 0:
         raise ParameterError("--gamma must be positive")
     sf = generate_system(args.n, args.m, args.members, gamma, args.seed)
@@ -313,48 +313,43 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _grid(spec: str, flag: str, parser) -> list[int]:
+# grid points one sweep may request; the whole grid is counted before any evaluation
+MAX_SWEEP_POINTS = 100_000
+
+
+def _grid(param: str, spec: str) -> range:
     """Closed-interval progression start:stop:step, or a single value."""
+    flag = f"--{param}"
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise ParameterError(f"{flag}: grid must be start:stop:step, got {spec!r}")
-    values = [parser(p, flag) for p in parts]
+    values = [_parse(param, part) for part in parts]
     if len(values) == 1:
-        return values
+        return range(values[0], values[0] + 1)
     start, stop, step = values
     if step <= 0:
         raise ParameterError(f"{flag}: grid step must be positive")
     if stop < start:
         raise ParameterError(f"{flag}: grid stop is below start")
-    return list(range(start, stop + 1, step))
-
-
-def _grade_units(value: str, flag: str) -> int:
-    return _grade_flag(value, flag).k
+    return range(start, stop + 1, step)
 
 
 def cmd_sweep(args) -> int:
     """One row per grid point of the parameters the op reads, as `approx` would."""
-    sf, op, _, table, target, mode = _setup(args, SINGLE_OPS)
-    axes = {}
-    if op != "grade":
-        if not (args.alpha and args.beta):
-            raise ParameterError("--alpha and --beta grids are required for this operator")
-        axes["alpha"] = _grid(args.alpha, "--alpha", _degree_flag)
-        axes["beta"] = _grid(args.beta, "--beta", _degree_flag)
-    if op != "prob":
-        if not args.k:
-            raise ParameterError("--k grid is required for this operator")
-        axes["k"] = _grid(args.k, "--k", _grade_units)
-
-    rows = [[*axes, "lower", "upper", "n_lower", "n_upper"]]
-    for point in itertools.product(*axes.values()):
-        p = dict(zip(axes, point))
-        if "alpha" in p and p["beta"] > p["alpha"]:
+    sf, op, target, mode = _setup(args, SINGLE_OPS)
+    _, table = _covering_table(sf, args.covering)
+    grids = _given(op, _flags(args, _grid))
+    points = math.prod(map(len, grids.values()))
+    if points > MAX_SWEEP_POINTS:
+        raise ParameterError(
+            f"sweep grid has {points} points, more than the limit of {MAX_SWEEP_POINTS}"
+        )
+    rows = [[*grids, "lower", "upper", "n_lower", "n_upper"]]
+    for point in itertools.product(*grids.values()):
+        values = dict(zip(grids, point))
+        if "alpha" in values and values["beta"] > values["alpha"]:
             continue
-        t = ThresholdPair(p["alpha"], p["beta"]) if "alpha" in p else None
-        k = Grade(p["k"]) if "k" in p else None
-        r = _evaluate(op, table, target, t, k, mode)
+        r = _evaluate(op, table, target, *_point(values), mode)
         rows.append([
             *map(format_scaled, point),
             ";".join(r.lower),
@@ -366,9 +361,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_common_result_flags(p):
+def _result_parser(sub, name: str, func, help: str, op_help: str, covering=True, fmt=True):
+    """A result subcommand: the parameter flags, plus --covering and --format if it reads them."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("path")
+    p.add_argument("--op", required=True, help=op_help)
     p.add_argument("--target", help="target fuzzy set name from the file")
-    p.add_argument("--covering", help="covering name (needed when the file has several)")
+    if covering:
+        p.add_argument("--covering", help="covering name (needed when the file has several)")
     p.add_argument("--alpha", help="probabilistic lower threshold, e.g. 0.75")
     p.add_argument("--beta", help="probabilistic upper threshold, e.g. 0.25")
     p.add_argument("--k", help="grade threshold, e.g. 2")
@@ -379,8 +379,11 @@ def _add_common_result_flags(p):
         help="reading of the grade lower-approximation mass (default: residual)",
     )
     p.add_argument("--gamma", help=argparse.SUPPRESS)  # rejected: gamma lives in the file
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    if fmt:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="write output to a file instead of stdout")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,30 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_neigh)
 
-    p = sub.add_parser("approx", help="lower/upper approximation of a target")
-    p.add_argument("path")
-    p.add_argument("--op", required=True, help="prob | grade | dq1 | dq2 (dq-all/dq-any)")
-    _add_common_result_flags(p)
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("regions", help="three-way / five-way decision regions")
-    p.add_argument("path")
-    p.add_argument("--op", required=True, help="prob | grade")
-    _add_common_result_flags(p)
-    p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("mg", help="multi-granulation fused approximations")
-    p.add_argument("path")
-    p.add_argument(
-        "--op",
-        required=True,
-        help="mg-prob1|mg-prob2|mg-grade1|mg-grade2|mg-dq1|mg-dq2 (-all/-any aliases)",
+    single_ops = "prob | grade | dq1 | dq2 (dq-all/dq-any)"
+    _result_parser(sub, "approx", cmd_approx, "lower/upper approximation of a target", single_ops)
+    _result_parser(sub, "regions", cmd_regions, "three-way / five-way decision regions",
+                   "prob | grade")
+    p = _result_parser(
+        sub, "mg", cmd_mg, "multi-granulation fused approximations",
+        "mg-prob1|mg-prob2|mg-grade1|mg-grade2|mg-dq1|mg-dq2 (-all/-any aliases)",
+        covering=False,
     )
-    p.add_argument("--alphas", help="comma list, one alpha per covering")
-    p.add_argument("--betas", help="comma list, one beta per covering")
-    p.add_argument("--ks", help="comma list, one grade per covering")
-    _add_common_result_flags(p)
-    p.set_defaults(func=cmd_mg)
+    for param in ("alpha", "beta", "k"):
+        p.add_argument(f"--{param}s", help=f"comma list, one {param} per covering")
 
     p = sub.add_parser("check", help="differential check against the brute-force path")
     p.add_argument("path", nargs="?")
@@ -443,11 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("sweep", help="evaluate an operator over a parameter grid (CSV)")
-    p.add_argument("path")
-    p.add_argument("--op", required=True)
-    _add_common_result_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    _result_parser(sub, "sweep", cmd_sweep,
+                   "evaluate an operator over start:stop:step grids (CSV)", single_ops, fmt=False)
 
     return parser
 

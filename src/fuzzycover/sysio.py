@@ -22,8 +22,9 @@ numbers are rejected.  Shape:
 
 Expert blocks are unioned (pointwise max across experts, per set name) into
 one covering each at load time, appended after the plain coverings.  A key
-repeated inside any object, or a top-level key outside the four above, is a
-parse error rather than silently last-wins or ignored.  Emitted
+repeated inside any object, a top-level key outside the four above, or an
+optional block of the wrong type (even an empty one), is a parse error
+rather than silently last-wins or ignored.  Emitted
 files are canonical: universe order everywhere, minimal decimal strings,
 two-space indentation, sorted result keys.
 """
@@ -79,6 +80,11 @@ def _need(obj, key, kind, where):
     if not isinstance(value, kind):
         raise _fail(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _optional(obj: dict, key, kind, where):
+    """obj[key] checked like `_need`, or an empty `kind` when the key is absent."""
+    return _need(obj, key, kind, where) if key in obj else kind()
 
 
 def _parse_degrees(raw, universe: Universe, where: str) -> FuzzySet:
@@ -147,8 +153,13 @@ class SystemFile:
 def loads(text: str, origin: str = "<string>") -> SystemFile:
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys(origin))
+    except ParseError:
+        raise
     except json.JSONDecodeError as e:
         raise ParseError(f"{origin}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError) as e:
+        # an integer past the interpreter's digit limit, or nesting past its recursion limit
+        raise _fail(origin, f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise _fail(origin, "top level must be an object")
     unknown = [key for key in doc if key not in TOP_LEVEL_KEYS]
@@ -167,7 +178,7 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
         raise _fail(f"{origin}.universe", str(e)) from None
 
     coverings: list[FuzzyCovering] = []
-    for i, block in enumerate(doc.get("coverings") or []):
+    for i, block in enumerate(_optional(doc, "coverings", list, origin)):
         where = f"{origin}.coverings[{i}]"
         name = _need(block, "name", str, where)
         gamma = _parse_gamma(block.get("gamma"), f"{where}.gamma")
@@ -177,7 +188,7 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
         except StructuralError as e:
             raise _fail(where, str(e)) from None
 
-    for i, block in enumerate(doc.get("experts") or []):
+    for i, block in enumerate(_optional(doc, "experts", list, origin)):
         where = f"{origin}.experts[{i}]"
         name = _need(block, "name", str, where)
         gamma = _parse_gamma(block.get("gamma"), f"{where}.gamma")
@@ -197,14 +208,14 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
     if not coverings:
         raise _fail(origin, "no coverings (need a coverings or experts block)")
 
-    targets: dict[str, FuzzySet] = {}
-    raw_targets = doc.get("targets") or {}
-    if not isinstance(raw_targets, dict):
-        raise _fail(f"{origin}.targets", "expected an object of named degree lists")
-    for tname, raw in raw_targets.items():
-        targets[tname] = _parse_degrees(raw, universe, f"{origin}.targets.{tname}")
-
-    system = MultiGranulationSystem(universe, tuple(coverings))
+    targets = {
+        tname: _parse_degrees(raw, universe, f"{origin}.targets.{tname}")
+        for tname, raw in _optional(doc, "targets", dict, origin).items()
+    }
+    try:
+        system = MultiGranulationSystem(universe, tuple(coverings))
+    except StructuralError as e:
+        raise _fail(origin, str(e)) from None
     return SystemFile(system, targets)
 
 
@@ -214,6 +225,8 @@ def load(path: str) -> SystemFile:
             text = fh.read()
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise _fail(path, f"not UTF-8: {e.reason} at byte {e.start}") from None
     return loads(text, origin=path)
 
 

@@ -131,6 +131,46 @@ class TestCliValidate:
         assert "parse error" in err
 
 
+def _edited(**changes):
+    return lambda doc: json.dumps({**doc, **changes}).encode()
+
+
+# system files that must end in a parse error, each with a fragment of its message
+MALFORMED_FILES = {
+    "coverings is a number": (_edited(coverings=5), ".coverings: expected list, got int"),
+    "coverings is true": (_edited(coverings=True), ".coverings: expected list, got bool"),
+    "coverings is 0": (_edited(coverings=0), ".coverings: expected list, got int"),
+    "experts is a number": (_edited(experts=3), ".experts: expected list, got int"),
+    "targets is an empty list": (_edited(targets=[]), ".targets: expected dict, got list"),
+    "targets is 0": (_edited(targets=0), ".targets: expected dict, got int"),
+    "duplicate covering names": (
+        lambda doc: json.dumps({**doc, "coverings": doc["coverings"] * 2}).encode(),
+        "covering names must be unique",
+    ),
+    "not UTF-8": (
+        lambda doc: json.dumps(doc).replace("x1", "x\xe91").encode("latin-1"),
+        "not UTF-8",
+    ),
+    "nested 100k deep": (lambda doc: b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+    "integer past the digit limit": (
+        lambda doc: b'{"universe": [' + b"1" * 5000 + b"]}", "invalid JSON",
+    ),
+}
+
+
+class TestCliMalformedFiles:
+    @pytest.mark.parametrize("case", list(MALFORMED_FILES))
+    def test_exits_2_with_parse_error(self, capsys, tmp_path, price_file, case):
+        build, message = MALFORMED_FILES[case]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(build(json.loads(sysio.dumps(price_file))))
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"parse error: {bad}")
+        assert message in err
+
+
 class TestCliApprox:
     def test_prob_golden(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -282,6 +322,79 @@ class TestCliMg:
         doc = json.loads(out)
         assert doc["operator"] == "mg-dq-all"
         assert doc["lower"] == ["x3"]
+
+
+class TestCliFlags:
+    """Each result command reads its flags through one reader and accepts only those."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "price.json", "--op", "grade", "--k", "2", "--format", "json"),
+        ("mg", "two_cov.json", "--op", "mg-grade1", "--k", "2", "--covering", "price"),
+    ])
+    def test_unread_flag_exits_4(self, capsys, fixtures_dir, argv):
+        cmd, name, *rest = argv
+        code, out, err = run_cli(capsys, cmd, str(fixtures_dir / name), *rest, "--target", "X")
+        assert code == 4
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("cmd,name,op", [
+        ("approx", "price.json", "dq1"),
+        ("sweep", "price.json", "dq1"),
+        ("mg", "two_cov.json", "mg-dq1"),
+    ])
+    @pytest.mark.parametrize("empty", ["--alpha", "--k"])
+    def test_empty_value_exits_4(self, capsys, fixtures_dir, cmd, name, op, empty):
+        flags = {"--alpha": "0.75", "--beta": "0.25", "--k": "2", empty: ""}
+        code, out, err = run_cli(
+            capsys, cmd, str(fixtures_dir / name), "--op", op, "--target", "X",
+            *(item for pair in flags.items() for item in pair),
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"parameter error: {empty}:")
+
+    @pytest.mark.parametrize("cmd,name,op,given,missing", [
+        ("approx", "price.json", "dq2", ("--alpha", "0.75", "--k", "2"), "--beta"),
+        ("regions", "price.json", "grade", ("--alpha", "0.75"), "--k"),
+        ("sweep", "price.json", "prob", ("--beta", "0:1:0.5"), "--alpha"),
+        ("mg", "two_cov.json", "mg-dq2", ("--alphas", "1,1", "--betas", "0,0"), "--k"),
+    ])
+    def test_missing_flag_is_named(self, capsys, fixtures_dir, cmd, name, op, given, missing):
+        code, _, err = run_cli(
+            capsys, cmd, str(fixtures_dir / name), "--op", op, "--target", "X", *given,
+        )
+        assert code == 4
+        assert err == f"parameter error: {missing} is required for this operator\n"
+
+    def test_mg_refuses_scalar_and_list_together(self, capsys, fixtures_dir):
+        code, out, err = run_cli(
+            capsys, "mg", str(fixtures_dir / "two_cov.json"),
+            "--op", "mg-grade1", "--k", "2", "--ks", "1,1", "--target", "X",
+        )
+        assert code == 4
+        assert out == ""
+        assert "--k and --ks" in err
+
+    @pytest.mark.parametrize("limit,code", [(12, 4), (13, 0)])
+    def test_sweep_grid_bound(self, capsys, fixtures_dir, monkeypatch, limit, code):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", limit)
+        if code:
+            def must_not_run(*args):
+                raise AssertionError("a refused grid was evaluated")
+            monkeypatch.setattr(cli, "_evaluate", must_not_run)
+        got, out, err = run_cli(
+            capsys, "sweep", str(fixtures_dir / "price.json"),
+            "--op", "grade", "--k", "0:6:0.5", "--target", "X",
+        )
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (
+                f"parameter error: sweep grid has 13 points, more than the limit of {limit}\n"
+            )
+        else:
+            assert len(out.splitlines()) == 14
 
 
 class TestCliOutput:
