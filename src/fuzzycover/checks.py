@@ -13,32 +13,33 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import oracle, single
+from . import multi, oracle, single
 from .exact import MICRO
-from .generate import random_covering, random_fuzzy_set
-from .model import (
-    ApproximationSpace,
-    FuzzySet,
-    Grade,
-    MultiGranulationSystem,
-    ThresholdPair,
-    Universe,
-)
-from .multi import mg_dq, mg_grade, mg_prob
+from .generate import random_fuzzy_set, random_system
+from .model import ApproximationSpace, FuzzySet, Grade, MultiGranulationSystem, ThresholdPair
 from .neighborhood import build_table
-from .single import ResidualMode
+from .single import RegionPartition, ResidualMode, parameters_read
 
-OP_CYCLE = (
-    "prob",
-    "grade",
-    "dq1",
-    "dq2",
-    "prob-regions",
-    "grade-regions",
-    "mg-prob",
-    "mg-grade",
-    "mg-dq",
-)
+# op -> (module, function name); the oracle's function has the same name.  The
+# functions are looked up when called, so a wrapper installed on the module
+# (a trace, a test's mutant) is the one that runs.
+OPERATORS = {
+    "prob": (single, "prob_approx"),
+    "grade": (single, "grade_approx"),
+    "dq1": (single, "dq_disjunctive"),
+    "dq2": (single, "dq_conjunctive"),
+    "prob-regions": (single, "prob_regions"),
+    "grade-regions": (single, "grade_regions"),
+    "mg-prob": (multi, "mg_prob"),
+    "mg-grade": (multi, "mg_grade"),
+    "mg-dq": (multi, "mg_dq"),
+}
+OP_CYCLE = tuple(OPERATORS)
+
+# size of a random instance: objects, coverings, members per covering
+MAX_N, MAX_M, MAX_MEMBERS = 16, 4, 5
+GAMMAS = (300_000, 500_000, 600_000, 750_000, 900_000, MICRO)
+FILE_ROUNDS = 40
 
 
 @dataclass
@@ -82,7 +83,7 @@ def _pick_thresholds_for(
 ) -> ThresholdPair:
     candidates = [0, MICRO // 4, MICRO // 2, 3 * MICRO // 4, MICRO]
     candidates += [rng.randrange(0, MICRO + 1, 50_000) for _ in range(2)]
-    if table is not None and rng.random() < 0.6:
+    if rng.random() < 0.6:
         ov = single.overlap_sums(table, target)
         i = rng.randrange(len(ov))
         p = _representable(Fraction(ov[i], table.sigma[i]))
@@ -93,10 +94,10 @@ def _pick_thresholds_for(
 
 
 def _pick_grade_for(rng: random.Random, table, target: FuzzySet) -> Grade:
-    n = len(table.sigma) if table is not None else 4
+    n = len(table.sigma)
     candidates = [0, MICRO // 2, MICRO, 2 * MICRO, n * MICRO]
     candidates.append(rng.randrange(0, (n + 1) * MICRO + 1, 100_000))
-    if table is not None and rng.random() < 0.6:
+    if rng.random() < 0.6:
         # exact tie: overlap == k or residual mass == k at some object
         ov = single.overlap_sums(table, target)
         mass = single.mass_sums(table, target, ResidualMode.RESIDUAL)
@@ -104,21 +105,11 @@ def _pick_grade_for(rng: random.Random, table, target: FuzzySet) -> Grade:
     return Grade(rng.choice(candidates))
 
 
-def _compare_pair(report, op, tag, main_pair, oracle_pair):
-    report.comparisons += 1
-    if main_pair != oracle_pair:
-        report.mismatches.append(
-            Mismatch(op, tag, f"main={main_pair} oracle={oracle_pair}")
-        )
-
-
-def _compare_regions(report, op, tag, main_regions: dict, oracle_regions: dict):
-    report.comparisons += 1
-    main_sets = {k: frozenset(v) for k, v in main_regions.items()}
-    if main_sets != oracle_regions:
-        report.mismatches.append(
-            Mismatch(op, tag, f"main={main_sets} oracle={oracle_regions}")
-        )
+def _as_sets(result):
+    """A main-path result in the oracle's shape: a (lower, upper) pair or the region dict."""
+    if isinstance(result, RegionPartition):
+        return {name: frozenset(objs) for name, objs in result.as_dict().items()}
+    return result.lower_set, result.upper_set
 
 
 def check_one(
@@ -129,100 +120,75 @@ def check_one(
     rng: random.Random,
     tag: str,
 ) -> None:
-    """Compare one operator family on one system/target draw."""
+    """Compare one operator family on one system/target draw.
+
+    Both sides take the parameters the family reads, in one order: thresholds,
+    grades, the combinator (mg only), then the residual mode when grades are
+    read.  The main path gets model values, the oracle raw micro-units.
+    """
+    module, name = OPERATORS[op]
+    # every parameter is drawn whether the family reads it or not, so the draw
+    # order, and with it the instance a seed tag names, is the same for all ops
     mode = rng.choice((ResidualMode.RESIDUAL, ResidualMode.COMPLEMENT))
-    if op.startswith("mg-"):
-        tables = [build_table(system.space(c.name)) for c in system.coverings]
-        tvec = tuple(
-            _pick_thresholds_for(rng, t, target) for t in tables
-        )
-        kvec = tuple(_pick_grade_for(rng, t, target) for t in tables)
-        alphas = [t.alpha for t in tvec]
-        betas = [t.beta for t in tvec]
-        ks = [g.k for g in kvec]
-        comb = rng.choice(("all", "any"))
-        if op == "mg-prob":
-            main = mg_prob(system, target, tvec, comb)
-            got = oracle.mg_prob(system, target, alphas, betas, comb)
-        elif op == "mg-grade":
-            main = mg_grade(system, target, kvec, comb, mode)
-            got = oracle.mg_grade(system, target, ks, comb, mode.value)
-        else:
-            main = mg_dq(system, target, tvec, kvec, comb, mode)
-            got = oracle.mg_dq(system, target, alphas, betas, ks, comb, mode.value)
-        _compare_pair(report, op, tag, (main.lower_set, main.upper_set), got)
-        return
-
-    covering = rng.choice(system.coverings)
-    space = ApproximationSpace(system.universe, covering)
-    table = build_table(space)
-    t = _pick_thresholds_for(rng, table, target)
-    k = _pick_grade_for(rng, table, target)
-    if op == "prob":
-        main = single.prob_approx(table, target, t)
-        got = oracle.prob_approx(space, target, t.alpha, t.beta)
-        _compare_pair(report, op, tag, (main.lower_set, main.upper_set), got)
-    elif op == "grade":
-        main = single.grade_approx(table, target, k, mode)
-        got = oracle.grade_approx(space, target, k.k, mode.value)
-        _compare_pair(report, op, tag, (main.lower_set, main.upper_set), got)
-    elif op == "dq1":
-        main = single.dq_disjunctive(table, target, t, k, mode)
-        got = oracle.dq_disjunctive(space, target, t.alpha, t.beta, k.k, mode.value)
-        _compare_pair(report, op, tag, (main.lower_set, main.upper_set), got)
-    elif op == "dq2":
-        main = single.dq_conjunctive(table, target, t, k, mode)
-        got = oracle.dq_conjunctive(space, target, t.alpha, t.beta, k.k, mode.value)
-        _compare_pair(report, op, tag, (main.lower_set, main.upper_set), got)
-    elif op == "prob-regions":
-        main = single.prob_regions(table, target, t)
-        got = oracle.prob_regions(space, target, t.alpha, t.beta)
-        _compare_regions(report, op, tag, main.as_dict(), got)
-    elif op == "grade-regions":
-        main = single.grade_regions(table, target, k, mode)
-        got = oracle.grade_regions(space, target, k.k, mode.value)
-        _compare_regions(report, op, tag, main.as_dict(), got)
+    fused = op.startswith("mg-")
+    if fused:
+        spaces = [system.space(c.name) for c in system.coverings]
     else:
-        raise ValueError(f"unknown operator: {op!r}")
+        spaces = [ApproximationSpace(system.universe, rng.choice(system.coverings))]
+    tables = [build_table(space) for space in spaces]
+    ts = tuple(_pick_thresholds_for(rng, table, target) for table in tables)
+    ks = tuple(_pick_grade_for(rng, table, target) for table in tables)
+
+    def per_covering(values):
+        return values if fused else values[0]
+
+    main_args = [system if fused else tables[0], target]
+    oracle_args = [system if fused else spaces[0], target]
+    params = parameters_read(op.removeprefix("mg-").removesuffix("-regions"))
+    if "alpha" in params:
+        main_args.append(per_covering(ts))
+        oracle_args.append(per_covering([t.alpha for t in ts]))
+        oracle_args.append(per_covering([t.beta for t in ts]))
+    if "k" in params:
+        main_args.append(per_covering(ks))
+        oracle_args.append(per_covering([g.k for g in ks]))
+    if fused:
+        comb = rng.choice(("all", "any"))
+        main_args.append(comb)
+        oracle_args.append(comb)
+    if "k" in params:
+        main_args.append(mode)
+        oracle_args.append(mode.value)
+
+    main = _as_sets(getattr(module, name)(*main_args))
+    got = getattr(oracle, name)(*oracle_args)
+    report.comparisons += 1
+    if main != got:
+        report.mismatches.append(Mismatch(op, tag, f"main={main} oracle={got}"))
 
 
-def run_random(
-    seed: int,
-    count: int,
-    max_n: int = 16,
-    max_m: int = 4,
-    max_members: int = 5,
-) -> DiffReport:
+def run_random(seed: int, count: int) -> DiffReport:
     """count random instances, cycling through every operator family."""
     report = DiffReport()
-    gammas = (300_000, 500_000, 600_000, 750_000, 900_000, MICRO)
     for i in range(count):
         rng = random.Random(f"fuzzycover-check:{seed}:{i}")
-        n = rng.randint(1, max_n)
-        m = rng.randint(1, max_m)
-        members = rng.randint(1, max_members)
-        gamma = rng.choice(gammas)
-        universe = Universe(tuple(f"x{j + 1}" for j in range(n)))
-        system = MultiGranulationSystem(
-            universe,
-            tuple(
-                random_covering(rng, universe, f"g{j + 1}", members, gamma)
-                for j in range(m)
-            ),
-        )
-        target = random_fuzzy_set(rng, universe)
+        n = rng.randint(1, MAX_N)
+        m = rng.randint(1, MAX_M)
+        members = rng.randint(1, MAX_MEMBERS)
+        system = random_system(rng, n, m, members, rng.choice(GAMMAS))
+        target = random_fuzzy_set(rng, system.universe)
         op = OP_CYCLE[i % len(OP_CYCLE)]
         check_one(report, op, system, target, rng, tag=f"seed={seed} i={i}")
         report.instances += 1
     return report
 
 
-def run_file(sf, seed: int = 0, rounds: int = 40) -> DiffReport:
+def run_file(sf, seed: int = 0) -> DiffReport:
     """Differential check over a loaded system file's own data."""
     report = DiffReport()
     system = sf.system
     targets = list(sf.targets.values()) or [FuzzySet.whole(system.universe)]
-    for r in range(rounds):
+    for r in range(FILE_ROUNDS):
         rng = random.Random(f"fuzzycover-check-file:{seed}:{r}")
         target = targets[r % len(targets)]
         op = OP_CYCLE[r % len(OP_CYCLE)]

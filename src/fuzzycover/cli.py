@@ -33,6 +33,7 @@ from .single import (
     dq_disjunctive,
     grade_approx,
     grade_regions,
+    parameters_read,
     prob_approx,
     prob_regions,
 )
@@ -128,13 +129,12 @@ def _covering_table(sf: sysio.SystemFile, name: str | None):
 
 
 def _given(family: str, read) -> dict:
-    """{param: read(param)} for the parameters an op family reads.
+    """{param: read(param)} for the parameters an op family reads (`parameters_read`).
 
-    Every family reads alpha and beta unless it is a grade op, and k unless it
-    is a prob op.  `read` returns None for a flag that was not given.
+    `read` returns None for a flag that was not given.
     """
     values = {}
-    for param in ("alpha", "beta") * (family != "grade") + ("k",) * (family != "prob"):
+    for param in parameters_read(family):
         values[param] = read(param)
         if values[param] is None:
             raise ParameterError(f"--{param} is required for this operator")
@@ -288,6 +288,8 @@ def cmd_mg(args) -> int:
 
 def cmd_check(args) -> int:
     if args.random:
+        if args.count < 1:
+            raise ParameterError("--count must be >= 1")
         report = checks.run_random(seed=args.seed, count=args.count)
     else:
         if not args.path:
@@ -334,6 +336,11 @@ def _grid(param: str, spec: str) -> range:
     return range(start, stop + 1, step)
 
 
+def _name_list(names) -> str:
+    r"""Names joined by `;`, with `\` written `\\` and `;` written `\;` inside a name."""
+    return ";".join(n.replace("\\", "\\\\").replace(";", "\\;") for n in names)
+
+
 def cmd_sweep(args) -> int:
     """One row per grid point of the parameters the op reads, as `approx` would."""
     sf, op, target, mode = _setup(args, SINGLE_OPS)
@@ -352,8 +359,8 @@ def cmd_sweep(args) -> int:
         r = _evaluate(op, table, target, *_point(values), mode)
         rows.append([
             *map(format_scaled, point),
-            ";".join(r.lower),
-            ";".join(r.upper),
+            _name_list(r.lower),
+            _name_list(r.upper),
             str(len(r.lower)),
             str(len(r.upper)),
         ])

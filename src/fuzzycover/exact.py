@@ -13,7 +13,8 @@ import re
 
 MICRO = 10**6
 
-_DECIMAL_RE = re.compile(r"^(-)?(\d+)(?:\.(\d{1,6}))?$")
+# ASCII digits only: `\d` would also accept other scripts' digits ("٠.٥", "１")
+_DECIMAL_RE = re.compile(r"^(-)?([0-9]+)(?:\.([0-9]{1,6}))?$")
 
 
 class DecimalFormatError(ValueError):

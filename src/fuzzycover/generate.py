@@ -51,6 +51,20 @@ def random_covering(
     return FuzzyCovering(name, universe, sets, gamma)
 
 
+def random_system(
+    rng: random.Random, n: int, m: int, members: int, gamma: int
+) -> MultiGranulationSystem:
+    """m random coverings g1..gm over the universe x1..xn, drawn in that order."""
+    universe = Universe(tuple(f"x{i + 1}" for i in range(n)))
+    return MultiGranulationSystem(
+        universe,
+        tuple(
+            random_covering(rng, universe, f"g{i + 1}", members, gamma)
+            for i in range(m)
+        ),
+    )
+
+
 def generate_system(
     n: int,
     m: int,
@@ -61,11 +75,7 @@ def generate_system(
 ) -> SystemFile:
     """Deterministic random system: same arguments, same result."""
     rng = random.Random(f"fuzzycover-gen:{seed}:{n}:{m}:{members}:{gamma}")
-    universe = Universe(tuple(f"x{i + 1}" for i in range(n)))
-    coverings = tuple(
-        random_covering(rng, universe, f"g{i + 1}", members, gamma)
-        for i in range(m)
-    )
+    system = random_system(rng, n, m, members, gamma)
     target_names = ["X", "Y", "Z"][:targets] or ["X"]
-    target_sets = {name: random_fuzzy_set(rng, universe) for name in target_names}
-    return SystemFile(MultiGranulationSystem(universe, coverings), target_sets)
+    target_sets = {name: random_fuzzy_set(rng, system.universe) for name in target_names}
+    return SystemFile(system, target_sets)

@@ -12,6 +12,7 @@ reported on raw data; approximation spaces refuse invalid coverings.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -245,22 +246,17 @@ def build_covering_from_reports(
     universe = first_sets[0][1].universe if first_sets else None
     if universe is None:
         raise StructuralError(f"expert {first_expert!r} supplied no sets")
-    merged = {n: list(s.memberships) for n, s in first_sets}
     for expert, sets in reports[1:]:
         names = [n for n, _ in sets]
         if names != value_names:
             raise StructuralError(
                 f"expert {expert!r} value names {names} != {value_names}"
             )
-        for n, s in sets:
-            if s.universe != universe:
-                raise StructuralError(f"expert {expert!r} set {n!r}: universe mismatch")
-            acc = merged[n]
-            for i, v in enumerate(s.memberships):
-                if v > acc[i]:
-                    acc[i] = v
+    # one column per value name: that name's set from every expert, in report order
+    columns = zip(*((s for _, s in sets) for _, sets in reports))
     members = tuple(
-        (n, FuzzySet(universe, tuple(merged[n]))) for n in value_names
+        (n, functools.reduce(FuzzySet.union, column))
+        for n, column in zip(value_names, columns)
     )
     covering = FuzzyCovering(name, universe, members, gamma)
     report = validate_covering(covering)

@@ -34,6 +34,13 @@ def test_parse_degree_rejects(text):
         parse_degree(text)
 
 
+@pytest.mark.parametrize("text", ["\u0660.\u0665", "\uff11", "0.\uff15", "\u0967"])
+def test_parse_scaled_accepts_ascii_digits_only(text):
+    # Arabic-Indic 0.5, fullwidth 1, 0.fullwidth 5, Devanagari 1
+    with pytest.raises(DecimalFormatError):
+        parse_scaled(text)
+
+
 def test_parse_degree_rejects_numbers():
     with pytest.raises(DecimalFormatError):
         parse_degree(0.5)  # type: ignore[arg-type]

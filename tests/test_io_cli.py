@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -73,6 +74,16 @@ class TestLoad:
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 2
         assert "targts" in err
+
+    def test_non_ascii_digits_exit_2(self, capsys, tmp_path, price_file):
+        doc = json.loads(sysio.dumps(price_file))
+        doc["coverings"][0]["gamma"] = "\uff10.\uff19"  # fullwidth 0.9
+        bad = tmp_path / "fullwidth.json"
+        bad.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error:")
 
     def test_validation_failure_names_offender(self, price_file):
         doc = json.loads(sysio.dumps(price_file))
@@ -367,6 +378,15 @@ class TestCliFlags:
         assert code == 4
         assert err == f"parameter error: {missing} is required for this operator\n"
 
+    def test_non_ascii_digits_exit_4(self, capsys, fixtures_dir):
+        code, out, err = run_cli(
+            capsys, "approx", str(fixtures_dir / "price.json"), "--op", "prob",
+            "--alpha", "\uff10.\uff15", "--beta", "0.25", "--target", "X",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("parameter error: --alpha:")
+
     def test_mg_refuses_scalar_and_list_together(self, capsys, fixtures_dir):
         code, out, err = run_cli(
             capsys, "mg", str(fixtures_dir / "two_cov.json"),
@@ -571,6 +591,29 @@ class TestCliSweep:
             "2,x2;x3;x6;x8,x1;x2;x3;x4;x5;x6;x7;x8,4,8",
         ]
 
+    def test_names_with_separator_are_escaped(self, capsys, tmp_path):
+        names = ["a;b", "a", "b", "a\\"]
+        doc = {
+            "universe": names,
+            "coverings": [{"name": "g", "gamma": "1", "members": [
+                {"name": "left", "degrees": ["1", "1", "0", "0"]},
+                {"name": "right", "degrees": ["0", "0", "1", "1"]},
+            ]}],
+            "targets": {"X": ["1", "1", "0", "1"]},
+        }
+        path = tmp_path / "semicolons.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "sweep", str(path), "--op", "grade", "--k", "0", "--target", "X",
+        )
+        assert code == 0
+        header, row = _csv_rows(out)
+        assert row == ["0", "a\\;b;a", "a\\;b;a;b;a\\\\", "2", "4"]
+        # splitting at each unescaped `;` and unescaping gives the names back
+        cells = dict(zip(header, row))
+        assert _split_names(cells["lower"]) == names[:2]
+        assert _split_names(cells["upper"]) == names
+
     def test_malformed_grid_exits_4(self, capsys, fixtures_dir):
         code, _, err = run_cli(
             capsys,
@@ -579,6 +622,13 @@ class TestCliSweep:
         )
         assert code == 4
         assert "grid" in err
+
+
+def _split_names(cell: str) -> list[str]:
+    return [
+        re.sub(r"\\(.)", r"\1", part)
+        for part in re.findall(r"(?:[^;\\]|\\.)+", cell)
+    ]
 
 
 class TestCliCheck:
@@ -591,6 +641,13 @@ class TestCliCheck:
         code, out, _ = run_cli(capsys, "check", "--random", "--seed", "3", "--count", "200")
         assert code == 0
         assert "mismatches: 0" in out
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_random_count_below_one_exits_4(self, capsys, count):
+        code, out, err = run_cli(capsys, "check", "--random", "--count", count)
+        assert code == 4
+        assert out == ""
+        assert err == "parameter error: --count must be >= 1\n"
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fuzzycover import model
 from fuzzycover.exact import MICRO, parse_scaled
 from fuzzycover.model import (
     FuzzyCovering,
@@ -220,6 +221,24 @@ class TestBuildFromReports:
             build_covering_from_reports(
                 "price", [("A", self.expert_a()), ("B", shuffled)], parse_scaled("0.9")
             )
+
+    def test_universe_mismatch(self):
+        other = Universe(tuple(f"y{i}" for i in range(1, 9)))
+        moved = tuple((n, FuzzySet(other, s.memberships)) for n, s in self.expert_b())
+        with pytest.raises(StructuralError):
+            build_covering_from_reports(
+                "price", [("A", self.expert_a()), ("B", moved)], parse_scaled("0.9")
+            )
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            model, "validate_covering", lambda c: calls.append(c) or validate_covering(c)
+        )
+        build_covering_from_reports(
+            "price", [("A", self.expert_a()), ("B", self.expert_b())], parse_scaled("0.9")
+        )
+        assert len(calls) == 1
 
     def test_gamma_failure(self):
         with pytest.raises(ValidationError):
