@@ -13,28 +13,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import multi, oracle, single
+from . import operators, oracle, single
 from .exact import MICRO
 from .generate import random_fuzzy_set, random_system
 from .model import ApproximationSpace, FuzzySet, Grade, MultiGranulationSystem, ThresholdPair
 from .neighborhood import build_table
-from .single import RegionPartition, ResidualMode, parameters_read
+from .single import RegionPartition, ResidualMode
 
-# op -> (module, function name); the oracle's function has the same name.  The
-# functions are looked up when called, so a wrapper installed on the module
-# (a trace, a test's mutant) is the one that runs.
-OPERATORS = {
-    "prob": (single, "prob_approx"),
-    "grade": (single, "grade_approx"),
-    "dq1": (single, "dq_disjunctive"),
-    "dq2": (single, "dq_conjunctive"),
-    "prob-regions": (single, "prob_regions"),
-    "grade-regions": (single, "grade_regions"),
-    "mg-prob": (multi, "mg_prob"),
-    "mg-grade": (multi, "mg_grade"),
-    "mg-dq": (multi, "mg_dq"),
-}
-OP_CYCLE = tuple(OPERATORS)
+OP_CYCLE = tuple(operators.FUNCTIONS)
 
 # size of a random instance: objects, coverings, members per covering
 MAX_N, MAX_M, MAX_MEMBERS = 16, 4, 5
@@ -122,11 +108,10 @@ def check_one(
 ) -> None:
     """Compare one operator family on one system/target draw.
 
-    Both sides take the parameters the family reads, in one order: thresholds,
-    grades, the combinator (mg only), then the residual mode when grades are
-    read.  The main path gets model values, the oracle raw micro-units.
+    Both sides take the parameters the family reads in the order of
+    `operators.arguments`; the main path gets model values, the oracle raw
+    micro-units and the mode's string.
     """
-    module, name = OPERATORS[op]
     # every parameter is drawn whether the family reads it or not, so the draw
     # order, and with it the instance a seed tag names, is the same for all ops
     mode = rng.choice((ResidualMode.RESIDUAL, ResidualMode.COMPLEMENT))
@@ -138,30 +123,23 @@ def check_one(
     tables = [build_table(space) for space in spaces]
     ts = tuple(_pick_thresholds_for(rng, table, target) for table in tables)
     ks = tuple(_pick_grade_for(rng, table, target) for table in tables)
+    comb = rng.choice(("all", "any")) if fused else None
 
     def per_covering(values):
         return values if fused else values[0]
 
-    main_args = [system if fused else tables[0], target]
-    oracle_args = [system if fused else spaces[0], target]
-    params = parameters_read(op.removeprefix("mg-").removesuffix("-regions"))
-    if "alpha" in params:
-        main_args.append(per_covering(ts))
-        oracle_args.append(per_covering([t.alpha for t in ts]))
-        oracle_args.append(per_covering([t.beta for t in ts]))
-    if "k" in params:
-        main_args.append(per_covering(ks))
-        oracle_args.append(per_covering([g.k for g in ks]))
-    if fused:
-        comb = rng.choice(("all", "any"))
-        main_args.append(comb)
-        oracle_args.append(comb)
-    if "k" in params:
-        main_args.append(mode)
-        oracle_args.append(mode.value)
-
-    main = _as_sets(getattr(module, name)(*main_args))
-    got = getattr(oracle, name)(*oracle_args)
+    main = _as_sets(operators.run(
+        op, system if fused else tables[0], target,
+        per_covering(ts), per_covering(ks), comb, mode,
+    ))
+    oracle_fn = getattr(oracle, operators.FUNCTIONS[op][1])
+    got = oracle_fn(system if fused else spaces[0], target, *operators.arguments(
+        op,
+        [per_covering([t.alpha for t in ts]), per_covering([t.beta for t in ts])],
+        [per_covering([g.k for g in ks])],
+        comb,
+        mode.value,
+    ))
     report.comparisons += 1
     if main != got:
         report.mismatches.append(Mismatch(op, tag, f"main={main} oracle={got}"))

@@ -3,7 +3,9 @@
 Subcommands: validate | neigh | approx | regions | mg | check | gen | sweep.
 
 Exit codes: 0 ok, 2 file parse error, 3 covering validation error,
-4 parameter error, 5 differential-check failure.
+4 parameter error, 5 differential-check failure, 141 standard output closed
+before the command finished writing (the reader went away; nothing more is
+written and nothing is printed to stderr).
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 
-from . import checks, sysio
+from . import checks, operators, sysio
 from .exact import DecimalFormatError, format_scaled, parse_degree, parse_scaled
 from .generate import generate_system
 from .model import (
@@ -24,25 +27,16 @@ from .model import (
     ValidationError,
     validate_covering,
 )
-from .multi import Combinator, mg_dq, mg_grade, mg_prob
+from .multi import Combinator
 from .neighborhood import build_table
-from .single import (
-    ResidualMode,
-    diagnostics,
-    dq_conjunctive,
-    dq_disjunctive,
-    grade_approx,
-    grade_regions,
-    parameters_read,
-    prob_approx,
-    prob_regions,
-)
+from .single import ResidualMode, diagnostics
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PARAMETER = 4
 EXIT_CHECK = 5
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 SINGLE_OPS = {
     "prob": "prob",
@@ -57,7 +51,7 @@ REGION_OPS = {"prob": "prob", "grade": "grade"}
 
 # mg-<family>1 / -all fold with ALL, mg-<family>2 / -any with ANY
 MG_OPS = {
-    f"mg-{family}{suffix}": (family, comb)
+    f"mg-{family}{suffix}": (f"mg-{family}", comb)
     for family in ("prob", "grade", "dq")
     for suffix, comb in (
         ("1", Combinator.ALL), ("2", Combinator.ANY),
@@ -66,14 +60,10 @@ MG_OPS = {
 }
 
 
-class _ArgumentError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on its own; route flag problems to exit 4
     def error(self, message):
-        raise _ArgumentError(message)
+        raise ParameterError(message)
 
 
 def _reject_gamma(args) -> None:
@@ -129,12 +119,12 @@ def _covering_table(sf: sysio.SystemFile, name: str | None):
 
 
 def _given(family: str, read) -> dict:
-    """{param: read(param)} for the parameters an op family reads (`parameters_read`).
+    """{param: read(param)} for the parameters a family reads (`operators.parameters_read`).
 
     `read` returns None for a flag that was not given.
     """
     values = {}
-    for param in parameters_read(family):
+    for param in operators.parameters_read(family):
         values[param] = read(param)
         if values[param] is None:
             raise ParameterError(f"--{param} is required for this operator")
@@ -153,16 +143,6 @@ def _point(values: dict) -> tuple[ThresholdPair | None, Grade | None]:
     t = ThresholdPair(values["alpha"], values["beta"]) if "alpha" in values else None
     k = Grade(values["k"]) if "k" in values else None
     return t, k
-
-
-def _evaluate(op: str, table, target, t, k, mode):
-    if op == "prob":
-        return prob_approx(table, target, t)
-    if op == "grade":
-        return grade_approx(table, target, k, mode)
-    if op == "dq1":
-        return dq_disjunctive(table, target, t, k, mode)
-    return dq_conjunctive(table, target, t, k, mode)
 
 
 def _emit_result(args, sf: sysio.SystemFile, doc: dict) -> None:
@@ -222,7 +202,7 @@ def cmd_approx(args) -> int:
     space, table = _covering_table(sf, args.covering)
     t, k = _point(_given(op, _flags(args, _parse)))
     _emit_result(args, sf, sysio.result_document(
-        _evaluate(op, table, target, t, k, mode),
+        operators.run(op, table, target, t, k, mode=mode),
         covering=space.covering.name,
         target=args.target,
         diagnostics=diagnostics(table, target),
@@ -234,12 +214,9 @@ def cmd_regions(args) -> int:
     sf, op, target, mode = _setup(args, REGION_OPS)
     space, table = _covering_table(sf, args.covering)
     t, k = _point(_given(op, _flags(args, _parse)))
-    if op == "prob":
-        partition = prob_regions(table, target, t)
-    else:
-        partition = grade_regions(table, target, k, mode)
+    partition = operators.run(f"{op}-regions", table, target, t, k, mode=mode)
     _emit_result(args, sf, sysio.result_document(
-        _evaluate(op, table, target, t, k, mode),
+        operators.run(op, table, target, t, k, mode=mode),
         covering=space.covering.name,
         target=args.target,
         regions=partition,
@@ -274,26 +251,27 @@ def cmd_mg(args) -> int:
     thresholds, grades = zip(*(
         _point({param: v[i] for param, v in values.items()}) for i in range(system.size)
     ))
-    if family == "prob":
-        result = mg_prob(system, target, thresholds, comb)
-    elif family == "grade":
-        result = mg_grade(system, target, grades, comb, mode)
-    else:
-        result = mg_dq(system, target, thresholds, grades, comb, mode)
+    result = operators.run(family, system, target, thresholds, grades, comb, mode)
     doc = sysio.result_document(result, target=args.target)
     doc["coverings"] = [c.name for c in system.coverings]
     _emit_result(args, sf, doc)
     return EXIT_OK
 
 
+RANDOM_COUNT = 1000  # instances of `check --random` without --count
+
+
 def cmd_check(args) -> int:
     if args.random:
-        if args.count < 1:
+        count = RANDOM_COUNT if args.count is None else args.count
+        if count < 1:
             raise ParameterError("--count must be >= 1")
-        report = checks.run_random(seed=args.seed, count=args.count)
+        report = checks.run_random(seed=args.seed, count=count)
     else:
         if not args.path:
             raise ParameterError("check needs a system file path or --random")
+        if args.count is not None:
+            raise ParameterError("--count applies to --random only")
         sf = sysio.load(args.path)
         report = checks.run_file(sf, seed=args.seed)
     print(report.describe())
@@ -356,7 +334,7 @@ def cmd_sweep(args) -> int:
         values = dict(zip(grids, point))
         if "alpha" in values and values["beta"] > values["alpha"]:
             continue
-        r = _evaluate(op, table, target, *_point(values), mode)
+        r = operators.run(op, table, target, *_point(values), mode=mode)
         rows.append([
             *map(format_scaled, point),
             _name_list(r.lower),
@@ -428,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?")
     p.add_argument("--random", action="store_true", help="run on random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=int, help=f"random instances (default {RANDOM_COUNT})")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate a random valid system file")
@@ -450,8 +428,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except (_ArgumentError, ParameterError, StructuralError) as e:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the unwritten rest, flushed at exit, goes nowhere instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    except (ParameterError, StructuralError) as e:
         print(f"parameter error: {e}", file=sys.stderr)
         return EXIT_PARAMETER
     except (sysio.ParseError, DecimalFormatError) as e:

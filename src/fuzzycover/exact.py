@@ -13,8 +13,9 @@ import re
 
 MICRO = 10**6
 
-# ASCII digits only: `\d` would also accept other scripts' digits ("٠.٥", "１")
-_DECIMAL_RE = re.compile(r"^(-)?([0-9]+)(?:\.([0-9]{1,6}))?$")
+# ASCII digits only: `\d` would also accept other scripts' digits ("٠.٥", "１").
+# Matched whole, without stripping, so padding such as " 0.5" is refused.
+_DECIMAL_RE = re.compile(r"(-)?([0-9]+)(?:\.([0-9]{1,6}))?")
 
 
 class DecimalFormatError(ValueError):
@@ -28,7 +29,7 @@ def parse_scaled(text: str) -> int:
             f"expected a decimal string, got {type(text).__name__}: {text!r} "
             "(write numbers as JSON strings, e.g. \"0.75\")"
         )
-    m = _DECIMAL_RE.match(text.strip())
+    m = _DECIMAL_RE.fullmatch(text)
     if m is None:
         raise DecimalFormatError(
             f"not a decimal with at most 6 fractional digits: {text!r}"

@@ -71,11 +71,9 @@ def generate_system(
     members: int,
     gamma: int,
     seed: int,
-    targets: int = 2,
 ) -> SystemFile:
-    """Deterministic random system: same arguments, same result."""
+    """Deterministic random system with targets X and Y: same arguments, same result."""
     rng = random.Random(f"fuzzycover-gen:{seed}:{n}:{m}:{members}:{gamma}")
     system = random_system(rng, n, m, members, gamma)
-    target_names = ["X", "Y", "Z"][:targets] or ["X"]
-    target_sets = {name: random_fuzzy_set(rng, system.universe) for name in target_names}
+    target_sets = {name: random_fuzzy_set(rng, system.universe) for name in ("X", "Y")}
     return SystemFile(system, target_sets)

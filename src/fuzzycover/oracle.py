@@ -309,24 +309,3 @@ def mg_dq(
             )
     return _collect(system.universe, lower), _collect(system.universe, upper)
 
-
-_DISPATCH = {
-    "prob": prob_approx,
-    "grade": grade_approx,
-    "dq1": dq_disjunctive,
-    "dq2": dq_conjunctive,
-    "prob-regions": prob_regions,
-    "grade-regions": grade_regions,
-    "mg-prob": mg_prob,
-    "mg-grade": mg_grade,
-    "mg-dq": mg_dq,
-}
-
-
-def brute_force(op: str, *args, **kwargs):
-    """Re-evaluate the named operator by its defining predicate."""
-    try:
-        fn = _DISPATCH[op]
-    except KeyError:
-        raise ValueError(f"unknown operator: {op!r}") from None
-    return fn(*args, **kwargs)

@@ -42,12 +42,6 @@ class ResidualMode(Enum):
     COMPLEMENT = "complement"
 
 
-def parameters_read(family: str) -> tuple[str, ...]:
-    """The parameters an operator family reads: alpha and beta unless it is a
-    grade op, k unless it is a prob op (dq and mg-dq read all three)."""
-    return ("alpha", "beta") * (family != "grade") + ("k",) * (family != "prob")
-
-
 @dataclass(frozen=True)
 class ApproximationResult:
     """Lower/upper object sets in canonical order, with a parameter echo."""

@@ -16,7 +16,7 @@ import hashlib
 
 import pytest
 
-from fuzzycover import checks, oracle
+from fuzzycover import checks, operators, oracle
 from fuzzycover.model import (
     ApproximationSpace,
     FuzzyCovering,
@@ -92,7 +92,7 @@ def _swap_pos_neg(result):
 
 @pytest.mark.parametrize("op", FAMILIES)
 def test_mutant_is_caught(monkeypatch, op):
-    module, name = checks.OPERATORS[op]
+    module, name = operators.FUNCTIONS[op]
     right = getattr(module, name)
     spoil = _swap_pos_neg if op.endswith("-regions") else _drop_upper
     monkeypatch.setattr(module, name, lambda *args: spoil(right(*args)))

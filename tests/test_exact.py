@@ -41,6 +41,12 @@ def test_parse_scaled_accepts_ascii_digits_only(text):
         parse_scaled(text)
 
 
+@pytest.mark.parametrize("text", [" 0.5", "0.5 ", "\u3000 0.5 ", "0.5\n", "\t1", "- 1"])
+def test_parse_scaled_refuses_padding(text):
+    with pytest.raises(DecimalFormatError):
+        parse_scaled(text)
+
+
 def test_parse_degree_rejects_numbers():
     with pytest.raises(DecimalFormatError):
         parse_degree(0.5)  # type: ignore[arg-type]

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from fuzzycover import cli, sysio
+from fuzzycover import cli, operators, single, sysio
 from fuzzycover.exact import parse_scaled
 from fuzzycover.model import ValidationError
 
@@ -79,6 +83,17 @@ class TestLoad:
         doc = json.loads(sysio.dumps(price_file))
         doc["coverings"][0]["gamma"] = "\uff10.\uff19"  # fullwidth 0.9
         bad = tmp_path / "fullwidth.json"
+        bad.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("padded", [" 0.9", "0.9 ", "\u30000.9", "0.9\n"])
+    def test_padded_degree_exits_2(self, capsys, tmp_path, price_file, padded):
+        doc = json.loads(sysio.dumps(price_file))
+        doc["coverings"][0]["gamma"] = padded
+        bad = tmp_path / "padded.json"
         bad.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         code, out, err = run_cli(capsys, "validate", str(bad))
         assert code == 2
@@ -387,6 +402,16 @@ class TestCliFlags:
         assert out == ""
         assert err.startswith("parameter error: --alpha:")
 
+    @pytest.mark.parametrize("padded", [" 0.5", "0.5 ", "\u30000.5"])
+    def test_padded_value_exits_4(self, capsys, fixtures_dir, padded):
+        code, out, err = run_cli(
+            capsys, "approx", str(fixtures_dir / "price.json"), "--op", "prob",
+            "--alpha", padded, "--beta", "0.25", "--target", "X",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("parameter error: --alpha:")
+
     def test_mg_refuses_scalar_and_list_together(self, capsys, fixtures_dir):
         code, out, err = run_cli(
             capsys, "mg", str(fixtures_dir / "two_cov.json"),
@@ -402,7 +427,7 @@ class TestCliFlags:
         if code:
             def must_not_run(*args):
                 raise AssertionError("a refused grid was evaluated")
-            monkeypatch.setattr(cli, "_evaluate", must_not_run)
+            monkeypatch.setattr(single, "grade_approx", must_not_run)
         got, out, err = run_cli(
             capsys, "sweep", str(fixtures_dir / "price.json"),
             "--op", "grade", "--k", "0:6:0.5", "--target", "X",
@@ -648,6 +673,52 @@ class TestCliCheck:
         assert code == 4
         assert out == ""
         assert err == "parameter error: --count must be >= 1\n"
+
+    def test_random_count_defaults(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "RANDOM_COUNT", 12)
+        code, out, _ = run_cli(capsys, "check", "--random")
+        assert code == 0
+        assert "instances: 12" in out
+
+    def test_count_with_file_exits_4(self, capsys, fixtures_dir):
+        code, out, err = run_cli(
+            capsys, "check", str(fixtures_dir / "two_cov.json"), "--count", "5",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("parameter error: --count applies to --random only")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["check", "two_cov.json"],
+    ["gen", "--n", "50", "--gamma", "0.9"],
+])
+def test_closed_stdout_exits_quietly(fixtures_dir, argv, buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fuzzycover", *argv], cwd=fixtures_dir, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before the command writes
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT
+    assert err == b""
+
+
+def test_every_op_id_names_one_family():
+    families = {
+        *cli.SINGLE_OPS.values(),
+        *(f"{op}-regions" for op in cli.REGION_OPS.values()),
+        *(family for family, _ in cli.MG_OPS.values()),
+    }
+    assert families == set(operators.FUNCTIONS)
 
 
 class TestDeterminism:

@@ -74,22 +74,14 @@ class TestCrispGrade:
 
 class TestBruteForce:
     def test_prob_golden(self, price_space, target_x):
-        lower, upper = oracle.brute_force(
-            "prob", price_space, target_x, 750_000, 250_000
-        )
+        lower, upper = oracle.prob_approx(price_space, target_x, 750_000, 250_000)
         assert lower == frozenset({"x3", "x6"})
         assert upper == ALL8
 
     def test_grade_golden(self, price_space, target_x):
-        lower, upper = oracle.brute_force(
-            "grade", price_space, target_x, 2 * MICRO, "residual"
-        )
+        lower, upper = oracle.grade_approx(price_space, target_x, 2 * MICRO, "residual")
         assert lower == frozenset({"x2", "x3", "x6", "x8"})
         assert upper == ALL8
-
-    def test_unknown_operator(self):
-        with pytest.raises(ValueError):
-            oracle.brute_force("nope")
 
     def test_differential_smoke(self):
         report = run_random(seed=99, count=400)
