@@ -11,6 +11,7 @@ written and nothing is printed to stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import os
@@ -75,14 +76,35 @@ def _reject_gamma(args) -> None:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise ParameterError(f"--out {out_path}: {e.strerror or e}") from None
-    else:
+    """Write to stdout, or replace the file at `out_path` whole.
+
+    The text goes to a temporary file beside the target (through a symlink,
+    beside the file it names), which then takes the target's permissions and
+    is moved over it with os.replace, so a failed write leaves an existing
+    target as it was.  A target that exists but is not a regular file
+    (/dev/null, a pipe) is written in place: replacing it would put a plain
+    file where it was.
+    """
+    if not out_path:
         sys.stdout.write(text)
+        return
+    in_place = os.path.exists(out_path) and not os.path.isfile(out_path)
+    path = out_path if in_place else os.path.realpath(out_path)
+    tmp = None if in_place else f"{path}.{os.getpid()}.tmp"
+    created = False
+    try:
+        with open(tmp or path, "x" if tmp else "w", encoding="utf-8") as fh:
+            created = True
+            fh.write(text)
+        if tmp:
+            if os.path.exists(path):
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+            os.replace(tmp, path)
+    except OSError as e:
+        if tmp and created:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise ParameterError(f"--out {out_path}: {e.strerror or e}") from None
 
 
 def _parse(param: str, text: str, flag: str | None = None) -> int:
@@ -226,7 +248,11 @@ def cmd_regions(args) -> int:
 
 
 def _per_covering(args, m: int):
-    """A `_given` reader: one value per covering, from --<param>s or a uniform --<param>."""
+    """A `_given` reader: one value per covering, from --<param>s or a uniform --<param>.
+
+    Each comma-separated entry of --<param>s is parsed as it is, like the
+    scalar flag: padding or an empty entry is refused, not dropped.
+    """
 
     def read(param: str):
         uniform, listed = getattr(args, param), getattr(args, param + "s")
@@ -234,12 +260,12 @@ def _per_covering(args, m: int):
             return None if uniform is None else (_parse(param, uniform),) * m
         if uniform is not None:
             raise ParameterError(f"--{param} and --{param}s both given; pass one of them")
-        parts = [part.strip() for part in listed.split(",") if part.strip()]
-        if len(parts) != m:
+        values = tuple(_parse(param, part, f"--{param}s") for part in listed.split(","))
+        if len(values) != m:
             raise ParameterError(
-                f"--{param}s has {len(parts)} entries but the system has {m} coverings"
+                f"--{param}s has {len(values)} entries but the system has {m} coverings"
             )
-        return tuple(_parse(param, part, f"--{param}s") for part in parts)
+        return values
 
     return read
 
@@ -263,6 +289,8 @@ RANDOM_COUNT = 1000  # instances of `check --random` without --count
 
 def cmd_check(args) -> int:
     if args.random:
+        if args.path is not None:
+            raise ParameterError("check takes a system file or --random, not both")
         count = RANDOM_COUNT if args.count is None else args.count
         if count < 1:
             raise ParameterError("--count must be >= 1")

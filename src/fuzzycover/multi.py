@@ -1,8 +1,9 @@
 """Multi-granulation fusion over a family of coverings.
 
 Each covering contributes its own neighborhoods (using its own gamma) and its
-own parameter slot, and `single.flags` gives its per-object lower and upper
-test flags.  Two combinators fold them over the coverings:
+own parameter slot: one (table, t, k) entry of the test list that
+`single.flags` folds.  The combinator is the one join over every test of
+every covering:
 
   ALL (type I):  every covering must pass its test  (per-object conjunction),
   ANY (type II): some covering must pass its test   (per-object disjunction).
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .exact import format_scaled
 from .model import (
     FuzzySet,
     Grade,
@@ -30,7 +30,7 @@ from .model import (
     ThresholdVector,
 )
 from .neighborhood import build_table
-from .single import ApproximationResult, ResidualMode, approximation, flags
+from .single import ApproximationResult, ResidualMode, approximation
 
 
 class Combinator:
@@ -51,13 +51,6 @@ def vector_leq(a, b) -> bool:
     raise ParameterError("vectors must both hold threshold pairs or both hold grades")
 
 
-def _check_vector(system: MultiGranulationSystem, vec, what: str) -> None:
-    if len(vec) != system.size:
-        raise ParameterError(
-            f"{what} vector length {len(vec)} != covering count {system.size}"
-        )
-
-
 def _fold(
     system: MultiGranulationSystem,
     target: FuzzySet,
@@ -67,34 +60,18 @@ def _fold(
     grades: GradeVector | None = None,
     mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
-    """Fold each covering's `flags` over the coverings with all/any."""
-    join = all if combinator == Combinator.ALL else any
-    params = []
-    if thresholds is not None:
-        _check_vector(system, thresholds, "threshold")
-        params += [
-            ("alphas", ",".join(format_scaled(t.alpha) for t in thresholds)),
-            ("betas", ",".join(format_scaled(t.beta) for t in thresholds)),
-        ]
-    if grades is not None:
-        _check_vector(system, grades, "grade")
-        params.append(("ks", ",".join(format_scaled(g.k) for g in grades)))
-    params.append(("combinator", combinator))
-    if grades is not None:
-        params.append(("residual_mode", mode.value))
-    per_covering = [
-        flags(build_table(system.space(c.name)), target, t, k, mode, join)
-        for c, t, k in zip(
-            system.coverings, thresholds or repeat(None), grades or repeat(None)
-        )
+    """One `approximation` over one (table, t, k) test per covering."""
+    for what, vector in (("threshold", thresholds), ("grade", grades)):
+        if vector is not None and len(vector) != system.size:
+            raise ParameterError(
+                f"{what} vector length {len(vector)} != covering count {system.size}"
+            )
+    tests = [
+        (build_table(system.space(c.name)), t, k)
+        for c, t, k in zip(system.coverings, thresholds or repeat(None), grades or repeat(None))
     ]
-    lowers, uppers = zip(*per_covering)
-    return approximation(
-        system.universe.objects,
-        f"mg-{family}-{combinator}",
-        tuple(params),
-        (list(map(join, zip(*lowers))), list(map(join, zip(*uppers)))),
-    )
+    join = all if combinator == Combinator.ALL else any
+    return approximation(f"mg-{family}-{combinator}", target, tests, mode, join, combinator)
 
 
 def mg_prob(

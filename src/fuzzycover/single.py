@@ -17,13 +17,15 @@ on fuzzy ones:
 `residual` is the default; `complement` is available for textual fidelity to
 the alternative formula.
 
-Every operator has one shape: `flags` gives each object a lower and an upper
-flag from the selected tests.  prob and grade run one test each; the
-double-quantitative operators run both and join each object's two flags with
-`all` (dq1) or `any` (dq2), which makes their decomposition into
-intersections/unions of the one-test operators an exact identity.  Regions
-are the set algebra of one (lower, upper) pair, and the multi-granulation
-operators (multi.py) fold the flags of each covering with `all`/`any`.
+Every operator is one fold: `flags` takes a list of (table, t, k) tests, runs
+the prob tests of each entry that has `t` and the grade tests of each that has
+`k`, and joins every selected test per object with one `all` or `any`.  prob
+and grade are one entry with one test; dq1 and dq2 are one entry with both,
+joined by `all` or `any`, so they are exactly the intersection or union of
+the one-test operators.  The multi-granulation operators (multi.py) are one
+entry per covering under the same join.  `approximation` turns the flags
+into object sets with one parameter echo for every family, and regions are
+the set algebra of one (lower, upper) pair.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 
 from .exact import MICRO, format_scaled, ratio_ge
 from .model import FuzzySet, Grade, ParameterError, ThresholdPair
@@ -79,6 +82,10 @@ class RegionPartition:
         return d
 
 
+# one entry of the list `flags` folds: a table with its prob and grade parameters
+Test = tuple[NeighborhoodTable, ThresholdPair | None, Grade | None]
+
+
 def _check_target(table: NeighborhoodTable, target: FuzzySet) -> None:
     if target.universe != table.universe:
         raise ParameterError("target set is over a different universe")
@@ -116,67 +123,62 @@ def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str) -> Fraction
 
 
 def flags(
-    table: NeighborhoodTable,
     target: FuzzySet,
-    t: ThresholdPair | None = None,
-    k: Grade | None = None,
+    tests: list[Test],
     mode: ResidualMode = ResidualMode.RESIDUAL,
     join=all,
 ) -> tuple[list[bool], list[bool]]:
-    """Per-object (lower, upper) flags of the selected tests.
+    """Per-object (lower, upper) flags: every selected test of every entry, joined.
 
-    The prob tests (P >= alpha, P >= beta) run when `t` is given, the grade
-    tests (mass <= k, overlap > k) when `k` is given; with both, each object's
-    two lower flags and two upper flags are joined by `join` (`all` for dq1,
-    `any` for dq2).
+    An entry (table, t, k) runs the prob tests (P >= alpha, P >= beta) when `t`
+    is given and the grade tests (mass <= k, overlap > k) when `k` is given.
+    Each object's lower flags from all entries are joined by `join`, and so are
+    its upper flags (`all` for dq1 and the ALL folds, `any` for dq2 and ANY).
     """
-    ov = overlap_sums(table, target)
-    tests = []
-    if t is not None:
-        tests.append((
-            [ratio_ge(o, s, t.alpha) for o, s in zip(ov, table.sigma)],
-            [ratio_ge(o, s, t.beta) for o, s in zip(ov, table.sigma)],
-        ))
-    if k is not None:
-        mass = mass_sums(table, target, mode)
-        tests.append(([m <= k.k for m in mass], [o > k.k for o in ov]))
-    lowers, uppers = zip(*tests)
+    lowers, uppers = [], []
+    for table, t, k in tests:
+        ov = overlap_sums(table, target)
+        if t is not None:
+            lowers.append([ratio_ge(o, s, t.alpha) for o, s in zip(ov, table.sigma)])
+            uppers.append([ratio_ge(o, s, t.beta) for o, s in zip(ov, table.sigma)])
+        if k is not None:
+            lowers.append([m <= k.k for m in mass_sums(table, target, mode)])
+            uppers.append([o > k.k for o in ov])
     return list(map(join, zip(*lowers))), list(map(join, zip(*uppers)))
 
 
 def approximation(
-    objects: tuple[str, ...],
     operator: str,
-    params: tuple[tuple[str, str], ...],
-    lower_upper: tuple[list[bool], list[bool]],
-) -> ApproximationResult:
-    """The objects flagged lower and upper, in universe order."""
-    lower, upper = lower_upper
-    return ApproximationResult(
-        operator,
-        params,
-        tuple(n for n, f in zip(objects, lower) if f),
-        tuple(n for n, f in zip(objects, upper) if f),
-    )
-
-
-def _approx(
-    table: NeighborhoodTable,
     target: FuzzySet,
-    operator: str,
-    t: ThresholdPair | None = None,
-    k: Grade | None = None,
+    tests: list[Test],
     mode: ResidualMode = ResidualMode.RESIDUAL,
     join=all,
+    combinator: str | None = None,
 ) -> ApproximationResult:
+    """The objects `flags` marks lower and upper, in universe order, with the
+    parameters echoed: alpha, beta and k for one covering; for an mg fold
+    (`combinator` given) alphas, betas and ks, one value per covering, and the
+    combinator.  The residual mode follows whenever a grade is read.
+    """
+    ts = [t for _, t, _ in tests if t is not None]
+    ks = [k for _, _, k in tests if k is not None]
+    plural = "s" * (combinator is not None)
     params = []
-    if t is not None:
-        params += [("alpha", format_scaled(t.alpha)), ("beta", format_scaled(t.beta))]
-    if k is not None:
-        params += [("k", format_scaled(k.k)), ("residual_mode", mode.value)]
-    return approximation(
-        table.universe.objects, operator, tuple(params),
-        flags(table, target, t, k, mode, join),
+    if ts:
+        params += [
+            (f"alpha{plural}", ",".join(format_scaled(t.alpha) for t in ts)),
+            (f"beta{plural}", ",".join(format_scaled(t.beta) for t in ts)),
+        ]
+    if ks:
+        params.append((f"k{plural}", ",".join(format_scaled(k.k) for k in ks)))
+    if combinator is not None:
+        params.append(("combinator", combinator))
+    if ks:
+        params.append(("residual_mode", mode.value))
+    objects = target.universe.objects
+    lower, upper = flags(target, tests, mode, join)
+    return ApproximationResult(
+        operator, tuple(params), tuple(compress(objects, lower)), tuple(compress(objects, upper))
     )
 
 
@@ -201,7 +203,7 @@ def prob_approx(
     table: NeighborhoodTable, target: FuzzySet, t: ThresholdPair
 ) -> ApproximationResult:
     """Probabilistic approximations: lower = {P >= alpha}, upper = {P >= beta}."""
-    return _approx(table, target, "prob", t=t)
+    return approximation("prob", target, [(table, t, None)])
 
 
 def prob_regions(
@@ -212,7 +214,7 @@ def prob_regions(
     beta <= alpha makes lower a subset of upper, so this is the split of
     `_partition` without its LBO (always empty) and UBO (= BOU) parts.
     """
-    return _partition(table, "three", flags(table, target, t=t))
+    return _partition(table, "three", flags(target, [(table, t, None)]))
 
 
 def grade_approx(
@@ -222,7 +224,7 @@ def grade_approx(
     mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
     """Grade approximations: upper = {overlap > k}, lower = {mass <= k}."""
-    return _approx(table, target, "grade", k=k, mode=mode)
+    return approximation("grade", target, [(table, None, k)], mode)
 
 
 def grade_regions(
@@ -236,7 +238,7 @@ def grade_regions(
     POS = upper & lower, NEG = complement of their union, LBO = lower - upper,
     UBO = upper - lower, BOU = LBO | UBO.
     """
-    return _partition(table, "five", flags(table, target, k=k, mode=mode))
+    return _partition(table, "five", flags(target, [(table, None, k)], mode))
 
 
 def dq_disjunctive(
@@ -247,7 +249,7 @@ def dq_disjunctive(
     mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
     """dq1: both tests must pass: lower = {P >= alpha and mass <= k}, upper likewise."""
-    return _approx(table, target, "dq1", t, k, mode, all)
+    return approximation("dq1", target, [(table, t, k)], mode, all)
 
 
 def dq_conjunctive(
@@ -258,43 +260,13 @@ def dq_conjunctive(
     mode: ResidualMode = ResidualMode.RESIDUAL,
 ) -> ApproximationResult:
     """dq2: either test suffices: lower = {P >= alpha or mass <= k}, upper likewise."""
-    return _approx(table, target, "dq2", t, k, mode, any)
-
-
-@dataclass(frozen=True)
-class ThresholdFormEntry:
-    object: str
-    overlap: int
-    sigma: int
-    mass: int
-    upper_strict: bool          # overlap > k (definitional)
-    upper_nonstrict: bool       # P >= k/sigma (the drifted restatement)
-    upper_ratio_strict: bool    # P > k/sigma
-    lower_defn: bool            # mass <= k
-    lower_ratio: bool           # P >= 1 - k/sigma
-    prob_lower_agree: bool      # P >= alpha vs sum form
-    prob_upper_agree: bool      # P >= beta vs sum form
-    flagged: bool               # strict vs non-strict upper readings disagree
+    return approximation("dq2", target, [(table, t, k)], mode, any)
 
 
 @dataclass(frozen=True)
 class ThresholdFormReport:
-    entries: tuple[ThresholdFormEntry, ...]
-
-    @property
-    def flagged(self) -> tuple[str, ...]:
-        return tuple(e.object for e in self.entries if e.flagged)
-
-    @property
-    def equivalences_hold(self) -> bool:
-        """Strictness-corrected ratio forms must match the defining predicates."""
-        return all(
-            e.upper_strict == e.upper_ratio_strict
-            and e.lower_defn == e.lower_ratio
-            and e.prob_lower_agree
-            and e.prob_upper_agree
-            for e in self.entries
-        )
+    flagged: tuple[str, ...]  # objects where overlap > k and P >= k/sigma disagree
+    equivalences_hold: bool   # every strictness-corrected ratio form matches its predicate
 
 
 def threshold_form_check(
@@ -307,33 +279,25 @@ def threshold_form_check(
 
     With sigma > 0: overlap > k iff P > k/sigma (strict both sides), and for
     the residual reading mass <= k iff P >= 1 - k/sigma.  The ratio side is
-    evaluated through Fraction arithmetic as an independent route.  A
-    non-strict upper restatement (P >= k/sigma) disagrees with the defining
-    strict predicate exactly when overlap == k; those objects are flagged.
+    evaluated through Fraction arithmetic as an independent route, and so are
+    the prob tests P >= alpha and P >= beta.  A non-strict upper restatement
+    (P >= k/sigma) disagrees with the defining strict predicate exactly when
+    overlap == k; those objects are flagged.
     """
     ov = overlap_sums(table, target)
     mass = mass_sums(table, target, ResidualMode.RESIDUAL)
-    entries = []
+    flagged, hold = [], True
     for name, o, s, m in zip(table.universe.objects, ov, table.sigma, mass):
-        p = Fraction(o, s)
-        k_ratio = Fraction(k.k, s)
-        upper_strict = o > k.k
-        upper_ratio_strict = p > k_ratio
-        upper_nonstrict = p >= k_ratio
-        lower_defn = m <= k.k
-        lower_ratio = p >= 1 - k_ratio
-        prob_lower_agree = (p >= Fraction(t.alpha, MICRO)) == ratio_ge(o, s, t.alpha)
-        prob_upper_agree = (p >= Fraction(t.beta, MICRO)) == ratio_ge(o, s, t.beta)
-        entries.append(
-            ThresholdFormEntry(
-                name, o, s, m,
-                upper_strict, upper_nonstrict, upper_ratio_strict,
-                lower_defn, lower_ratio,
-                prob_lower_agree, prob_upper_agree,
-                flagged=upper_strict != upper_nonstrict,
-            )
+        p, k_ratio = Fraction(o, s), Fraction(k.k, s)
+        if (o > k.k) != (p >= k_ratio):
+            flagged.append(name)
+        hold = hold and (
+            (o > k.k) == (p > k_ratio)
+            and (m <= k.k) == (p >= 1 - k_ratio)
+            and (p >= Fraction(t.alpha, MICRO)) == ratio_ge(o, s, t.alpha)
+            and (p >= Fraction(t.beta, MICRO)) == ratio_ge(o, s, t.beta)
         )
-    return ThresholdFormReport(tuple(entries))
+    return ThresholdFormReport(tuple(flagged), hold)
 
 
 def diagnostics(table: NeighborhoodTable, target: FuzzySet) -> list[dict[str, str]]:

@@ -73,12 +73,25 @@ def _unique_keys(origin: str):
     return build
 
 
+def _writable(name: str, where: str) -> str:
+    """A name that can be written out as UTF-8; a JSON escape can make a lone
+    surrogate, which loads but fails when the name is emitted."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _fail(where, f"name {name!r} holds a lone surrogate, not text") from None
+    return name
+
+
 def _need(obj, key, kind, where):
+    """obj[key] of type `kind`; a string read this way is a name, so it must be writable."""
     if not isinstance(obj, dict) or key not in obj:
         raise _fail(where, f"missing {key!r}")
     value = obj[key]
     if not isinstance(value, kind):
         raise _fail(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
+    if kind is str:
+        _writable(value, f"{where}.{key}")
     return value
 
 
@@ -172,6 +185,8 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
     names = _need(doc, "universe", list, origin)
     if not all(isinstance(n, str) for n in names):
         raise _fail(f"{origin}.universe", "object names must be strings")
+    for i, n in enumerate(names):
+        _writable(n, f"{origin}.universe[{i}]")
     try:
         universe = Universe(tuple(names))
     except StructuralError as e:
@@ -209,7 +224,9 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
         raise _fail(origin, "no coverings (need a coverings or experts block)")
 
     targets = {
-        tname: _parse_degrees(raw, universe, f"{origin}.targets.{tname}")
+        _writable(tname, f"{origin}.targets"): _parse_degrees(
+            raw, universe, f"{origin}.targets.{tname}"
+        )
         for tname, raw in _optional(doc, "targets", dict, origin).items()
     }
     try:

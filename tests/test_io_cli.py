@@ -161,6 +161,14 @@ def _edited(**changes):
     return lambda doc: json.dumps({**doc, **changes}).encode()
 
 
+def _replaced(old: str, new: str):
+    def build(doc):
+        text = json.dumps(doc)
+        assert old in text
+        return text.replace(old, new, 1).encode()
+    return build
+
+
 # system files that must end in a parse error, each with a fragment of its message
 MALFORMED_FILES = {
     "coverings is a number": (_edited(coverings=5), ".coverings: expected list, got int"),
@@ -178,6 +186,26 @@ MALFORMED_FILES = {
         "not UTF-8",
     ),
     "nested 100k deep": (lambda doc: b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+    # a JSON escape can make a name a lone surrogate, which loads but cannot be written out
+    "object name is a lone surrogate": (
+        _replaced('"x1"', '"x\\ud800"'), ".universe[0]: name 'x\\ud800' holds a lone surrogate",
+    ),
+    "covering name is a lone surrogate": (
+        _replaced('"name": "price"', '"name": "p\\udc80"'), ".coverings[0].name: name 'p\\udc80'",
+    ),
+    "member name is a lone surrogate": (
+        _replaced('"name": "high"', '"name": "\\ud800"'), ".coverings[0].members[0].name: name",
+    ),
+    "target name is a lone surrogate": (
+        _replaced('"X":', '"X\\udfff":'), ".targets: name 'X\\udfff' holds a lone surrogate",
+    ),
+    "expert name is a lone surrogate": (
+        lambda doc: json.dumps({**doc, "experts": [{
+            "name": "e", "gamma": "0.9",
+            "reports": [{"expert": "A\udc80", "sets": doc["coverings"][0]["members"]}],
+        }]}).encode(),
+        ".experts[0].reports[0].expert: name 'A\\udc80' holds a lone surrogate",
+    ),
     "integer past the digit limit": (
         lambda doc: b'{"universe": [' + b"1" * 5000 + b"]}", "invalid JSON",
     ),
@@ -198,6 +226,20 @@ class TestCliMalformedFiles:
 
 
 class TestCliApprox:
+    def test_unwritable_name_exits_2_writing_nothing(self, capsys, tmp_path, fixtures_dir):
+        bad = tmp_path / "bad.json"
+        text = (fixtures_dir / "price.json").read_text(encoding="utf-8")
+        bad.write_text(text.replace('"x1"', '"x\\ud800"'), encoding="utf-8")
+        out_path = tmp_path / "out.json"
+        code, out, err = run_cli(
+            capsys, "approx", str(bad), "--op", "prob", "--alpha", "0.5", "--beta", "0.25",
+            "--target", "X", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"parse error: {bad}.universe[0]: name 'x\\ud800'")
+        assert not out_path.exists()
+
     def test_prob_golden(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
             capsys,
@@ -412,6 +454,21 @@ class TestCliFlags:
         assert out == ""
         assert err.startswith("parameter error: --alpha:")
 
+    @pytest.mark.parametrize("alphas,betas,flag", [
+        ("\u30000.75,0.8", "0.25,0.25", "--alphas"),
+        ("0.75, 0.8", "0.25,0.25", "--alphas"),
+        ("0.75,0.8,", "0.25,0.25", "--alphas"),
+        ("0.75,0.8", "0.25,,0.3", "--betas"),
+    ])
+    def test_list_entry_parsed_as_is(self, capsys, fixtures_dir, alphas, betas, flag):
+        code, out, err = run_cli(
+            capsys, "mg", str(fixtures_dir / "two_cov.json"), "--op", "mg-prob1",
+            "--alphas", alphas, "--betas", betas, "--target", "X",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"parameter error: {flag}:")
+
     def test_mg_refuses_scalar_and_list_together(self, capsys, fixtures_dir):
         code, out, err = run_cli(
             capsys, "mg", str(fixtures_dir / "two_cov.json"),
@@ -453,6 +510,48 @@ class TestCliOutput:
         assert out == ""
         assert err.startswith(f"parameter error: --out {out_path}")
         assert not out_path.exists()
+
+    def test_failed_replace_keeps_old_file(self, capsys, fixtures_dir, tmp_path, monkeypatch):
+        out_path = tmp_path / "x.json"
+        out_path.write_bytes(b"old content\n")
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code, out, err = run_cli(
+            capsys, "approx", str(fixtures_dir / "price.json"),
+            "--op", "grade", "--k", "2", "--target", "X", "--out", str(out_path),
+        )
+        assert code == 4
+        assert out == ""
+        assert err == f"parameter error: --out {out_path}: No space left on device\n"
+        assert out_path.read_bytes() == b"old content\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+    def test_out_replaces_old_file(self, capsys, fixtures_dir, tmp_path):
+        real = tmp_path / "x.json"
+        real.write_bytes(b"old content that is longer than nothing\n")
+        real.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(real.name)
+        argv = ("approx", str(fixtures_dir / "price.json"), "--op", "grade", "--k", "2",
+                "--target", "X")
+        code, out, _ = run_cli(capsys, *argv, "--out", str(link))
+        assert (code, out) == (0, "")
+        _, expected, _ = run_cli(capsys, *argv)
+        assert real.read_text(encoding="utf-8") == expected
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "x.json"]
+
+    def test_out_to_a_device_writes_in_place(self, capsys, fixtures_dir):
+        code, out, _ = run_cli(
+            capsys, "approx", str(fixtures_dir / "price.json"),
+            "--op", "grade", "--k", "2", "--target", "X", "--out", os.devnull,
+        )
+        assert (code, out) == (0, "")
+        assert not os.path.isfile(os.devnull)
 
 
 ODD_NAMES = ("a,b", 'say "hi"', "two\nlines", "cr\rname", "x5", "x6", "x7", "x8")
@@ -679,6 +778,14 @@ class TestCliCheck:
         code, out, _ = run_cli(capsys, "check", "--random")
         assert code == 0
         assert "instances: 12" in out
+
+    def test_random_with_path_exits_4(self, capsys, fixtures_dir):
+        code, out, err = run_cli(
+            capsys, "check", "--random", "--count", "3", str(fixtures_dir / "nonexistent.json"),
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "parameter error: check takes a system file or --random, not both\n"
 
     def test_count_with_file_exits_4(self, capsys, fixtures_dir):
         code, out, err = run_cli(

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fuzzycover import operators, single
 from fuzzycover.exact import parse_scaled
 from fuzzycover.model import FuzzySet, Grade, ParameterError, ThresholdPair
 from fuzzycover.single import (
@@ -162,6 +163,14 @@ class TestThresholdFormCheck:
         r = grade_approx(price_table, target_x, Grade.from_string("2.6"))
         assert set(report.flagged) & set(r.upper) == set()
 
+    def test_catches_a_strict_prob_comparison(self, price_table, target_x, monkeypatch):
+        # P(x1) is exactly 0.5, so a strict P > alpha at alpha = 0.5 must break
+        # the equivalence with the Fraction route
+        t = ThresholdPair.from_strings("0.5", "0.25")
+        assert threshold_form_check(price_table, target_x, t, K2).equivalences_hold
+        monkeypatch.setattr(single, "ratio_ge", lambda num, den, a: num * 10**6 > a * den)
+        assert not threshold_form_check(price_table, target_x, t, K2).equivalences_hold
+
     def test_k_zero_everything_agrees(self, price_table, target_x):
         # every overlap is positive, so strict and non-strict agree at k = 0
         report = threshold_form_check(price_table, target_x, T, Grade.from_string("0"))
@@ -228,3 +237,33 @@ def test_property_suites_smoke():
     assert suite_grade_laws(seed=3, count=150) == 150
     assert suite_dq_decomposition(seed=3, count=150) == 150
     assert suite_regions(seed=3, count=150) == 150
+
+
+# overlap/mass kernel calls per family on one covering, as (residual,
+# complement) mode: a residual mass pass calls the overlap kernel once more.
+# An mg fold makes its per-covering family's count once per covering.  These
+# are upper bounds, so a change that drops a pass needs no edit here.
+KERNEL_PASSES = {"prob": (1, 1), "prob-regions": (1, 1), "grade": (3, 2),
+                 "grade-regions": (3, 2), "dq1": (3, 2), "dq2": (3, 2)}
+MG_PER_COVERING = {"mg-prob": "prob", "mg-grade": "grade", "mg-dq": "dq1"}
+
+
+@pytest.mark.parametrize("mode", list(ResidualMode))
+@pytest.mark.parametrize("family", list(operators.FUNCTIONS))
+def test_kernel_passes_bounded(monkeypatch, two_cov_file, family, mode):
+    calls = []
+    for name in ("overlap_sums", "mass_sums"):
+        kernel = getattr(single, name)
+        monkeypatch.setattr(
+            single, name, lambda *a, _kernel=kernel, **kw: calls.append(1) or _kernel(*a, **kw)
+        )
+    system, target = two_cov_file.system, two_cov_file.target("X")
+    t, k = ThresholdPair.from_strings("0.75", "0.25"), Grade.from_string("1")
+    if family in MG_PER_COVERING:
+        operators.run(family, system, target, [t] * system.size, [k] * system.size, "all", mode)
+        bound = KERNEL_PASSES[MG_PER_COVERING[family]][mode is ResidualMode.COMPLEMENT]
+        bound *= system.size
+    else:
+        operators.run(family, build_table(system.space("price")), target, t, k, mode=mode)
+        bound = KERNEL_PASSES[family][mode is ResidualMode.COMPLEMENT]
+    assert 0 < len(calls) <= bound
