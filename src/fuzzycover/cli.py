@@ -67,12 +67,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _reject_gamma(args) -> None:
-    if getattr(args, "gamma", None) is not None:
-        raise ParameterError(
-            "--gamma cannot override operator input: gamma is part of each "
-            "covering in the system file"
-        )
+def _out_path(text: str) -> str:
+    """The --out value: an empty one (an unset shell variable) would name no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty string")
+    return text
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -85,7 +84,7 @@ def _emit(text: str, out_path: str | None) -> None:
     (/dev/null, a pipe) is written in place: replacing it would put a plain
     file where it was.
     """
-    if not out_path:
+    if out_path is None:
         sys.stdout.write(text)
         return
     in_place = os.path.exists(out_path) and not os.path.isfile(out_path)
@@ -126,12 +125,9 @@ def _op_id(ops: dict, args):
 
 
 def _setup(args, ops: dict):
-    """Reject --gamma, load the file, pick the op, the target and the mode."""
-    _reject_gamma(args)
+    """Load the file, pick the op, the target and the mode."""
     sf = sysio.load(args.path)
     op = _op_id(ops, args)
-    if args.target is None:
-        raise ParameterError("--target is required")
     return sf, op, sf.target(args.target), ResidualMode(args.residual_mode)
 
 
@@ -185,7 +181,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_neigh(args) -> int:
-    _reject_gamma(args)
     sf = sysio.load(args.path)
     names = (
         [args.covering]
@@ -194,18 +189,14 @@ def cmd_neigh(args) -> int:
     )
     doc = {}
     for name in names:
-        space = sf.system.space(name)
-        table = build_table(space)
+        space, table = _covering_table(sf, name)
+        # each distinct row is formatted once and shared by the objects that have it
+        row_strings = [list(row.degree_strings()) for row in table.distinct]
+        sigma_strings = list(map(format_scaled, table.distinct_sigma))
         doc[name] = {
             "gamma": format_scaled(space.covering.gamma),
-            "rows": {
-                obj: list(row.degree_strings())
-                for obj, row in zip(space.universe.objects, table.rows)
-            },
-            "sigma": {
-                obj: format_scaled(s)
-                for obj, s in zip(space.universe.objects, table.sigma)
-            },
+            "rows": {obj: row_strings[i] for obj, i in zip(sf.universe.objects, table.index)},
+            "sigma": {obj: sigma_strings[i] for obj, i in zip(sf.universe.objects, table.index)},
         }
     if args.format == "csv":
         rows = [["covering", "object", *sf.universe.objects, "sigma"]]
@@ -352,10 +343,13 @@ def cmd_sweep(args) -> int:
     sf, op, target, mode = _setup(args, SINGLE_OPS)
     _, table = _covering_table(sf, args.covering)
     grids = _given(op, _flags(args, _grid))
-    points = math.prod(map(len, grids.values()))
+    # counted without len(), which overflows past sys.maxsize points
+    points = math.prod((g.stop - g.start + g.step - 1) // g.step for g in grids.values())
     if points > MAX_SWEEP_POINTS:
+        # a count too long to print in decimal is given by its order of magnitude
+        shown = points if points < 10**100 else f"about 10^{math.floor(math.log10(points))}"
         raise ParameterError(
-            f"sweep grid has {points} points, more than the limit of {MAX_SWEEP_POINTS}"
+            f"sweep grid has {shown} points, more than the limit of {MAX_SWEEP_POINTS}"
         )
     rows = [[*grids, "lower", "upper", "n_lower", "n_upper"]]
     for point in itertools.product(*grids.values()):
@@ -379,7 +373,7 @@ def _result_parser(sub, name: str, func, help: str, op_help: str, covering=True,
     p = sub.add_parser(name, help=help)
     p.add_argument("path")
     p.add_argument("--op", required=True, help=op_help)
-    p.add_argument("--target", help="target fuzzy set name from the file")
+    p.add_argument("--target", required=True, help="target fuzzy set name from the file")
     if covering:
         p.add_argument("--covering", help="covering name (needed when the file has several)")
     p.add_argument("--alpha", help="probabilistic lower threshold, e.g. 0.75")
@@ -391,10 +385,9 @@ def _result_parser(sub, name: str, func, help: str, op_help: str, covering=True,
         default="residual",
         help="reading of the grade lower-approximation mass (default: residual)",
     )
-    p.add_argument("--gamma", help=argparse.SUPPRESS)  # rejected: gamma lives in the file
     if fmt:
         p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", help="write output to a file instead of stdout")
+    p.add_argument("--out", type=_out_path, help="write output to a file instead of stdout")
     p.set_defaults(func=func)
     return p
 
@@ -413,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("neigh", help="dump per-object neighborhoods and sigma-counts")
     p.add_argument("path")
     p.add_argument("--covering")
-    p.add_argument("--gamma", help=argparse.SUPPRESS)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_neigh)
 
     single_ops = "prob | grade | dq1 | dq2 (dq-all/dq-any)"
@@ -443,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", type=int, default=3, help="members per covering")
     p.add_argument("--gamma", required=True, help="covering threshold, e.g. 0.9")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_gen)
 
     _result_parser(sub, "sweep", cmd_sweep,

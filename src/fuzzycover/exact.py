@@ -26,8 +26,8 @@ def parse_scaled(text: str) -> int:
     """Parse a decimal string into micro-units. Raises DecimalFormatError."""
     if not isinstance(text, str):
         raise DecimalFormatError(
-            f"expected a decimal string, got {type(text).__name__}: {text!r} "
-            "(write numbers as JSON strings, e.g. \"0.75\")"
+            f"expected a decimal string, got {type(text).__name__} {text!r} "
+            "(quote it, e.g. \"0.75\", to keep arithmetic exact)"
         )
     m = _DECIMAL_RE.fullmatch(text)
     if m is None:
@@ -35,7 +35,12 @@ def parse_scaled(text: str) -> int:
             f"not a decimal with at most 6 fractional digits: {text!r}"
         )
     sign, whole, frac = m.groups()
-    value = int(whole) * MICRO + int((frac or "").ljust(6, "0"))
+    try:
+        value = int(whole) * MICRO + int((frac or "").ljust(6, "0"))
+    except ValueError:  # more integer digits than the interpreter converts
+        raise DecimalFormatError(
+            f"integer part has {len(whole)} digits, past this interpreter's limit"
+        ) from None
     return -value if sign else value
 
 

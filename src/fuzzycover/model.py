@@ -46,10 +46,11 @@ class Universe:
         object.__setattr__(self, "objects", objects)
         if len(objects) == 0:
             raise StructuralError("universe must contain at least one object")
-        if len(set(objects)) != len(objects):
-            raise StructuralError("universe object names must be unique")
+        # the type first: an unhashable name would break the uniqueness check
         if any(not isinstance(o, str) or not o for o in objects):
             raise StructuralError("universe object names must be non-empty strings")
+        if len(set(objects)) != len(objects):
+            raise StructuralError("universe object names must be unique")
         object.__setattr__(self, "_pos", {name: i for i, name in enumerate(objects)})
 
     @property

@@ -57,7 +57,7 @@ def _signature(sets: tuple[FuzzySet, ...], gamma: int, index: int) -> tuple[int,
 
 
 def _pointwise_min(universe: Universe, sets: list[FuzzySet]) -> FuzzySet:
-    """Meet of a non-empty list of fuzzy sets."""
+    """Meet of one or more fuzzy sets."""
     if len(sets) == 1:  # map(min, v) over a single vector would call min(int)
         return sets[0]
     return FuzzySet(universe, tuple(map(min, *(s.memberships for s in sets))))

@@ -24,7 +24,11 @@ Expert blocks are unioned (pointwise max across experts, per set name) into
 one covering each at load time, appended after the plain coverings.  A key
 repeated inside any object, a top-level key outside the four above, or an
 optional block of the wrong type (even an empty one), is a parse error
-rather than silently last-wins or ignored.  Emitted
+rather than silently last-wins or ignored.  This module checks only the
+shape; each rule on the values (decimal strings, gamma in (0, 1], a member or
+expert set in every list, at least one covering, object names that are
+non-empty strings) is checked once, by `exact` or `model`, and the error is
+reported at the path of the block it came from.  Emitted
 files are canonical: universe order everywhere, minimal decimal strings,
 two-space indentation, sorted result keys.
 """
@@ -100,41 +104,25 @@ def _optional(obj: dict, key, kind, where):
     return _need(obj, key, kind, where) if key in obj else kind()
 
 
+def _degree(raw, where: str) -> int:
+    """`parse_degree(raw)`, with its error reported at `where`."""
+    try:
+        return parse_degree(raw)
+    except DecimalFormatError as e:
+        raise _fail(where, str(e)) from None
+
+
 def _parse_degrees(raw, universe: Universe, where: str) -> FuzzySet:
     if not isinstance(raw, list):
         raise _fail(where, "expected a list of degree strings")
     if len(raw) != universe.size:
         raise _fail(where, f"vector length {len(raw)} != universe size {universe.size}")
-    values = []
-    for j, item in enumerate(raw):
-        if isinstance(item, (int, float)):
-            raise _fail(
-                f"{where}[{j}]",
-                f"degree must be a string, got bare number {item!r} "
-                "(quote it, e.g. \"0.75\", to keep arithmetic exact)",
-            )
-        try:
-            values.append(parse_degree(item))
-        except DecimalFormatError as e:
-            raise _fail(f"{where}[{j}]", str(e)) from None
-    return FuzzySet(universe, tuple(values))
-
-
-def _parse_gamma(raw, where: str) -> int:
-    if isinstance(raw, (int, float)):
-        raise _fail(where, f"gamma must be a string, got bare number {raw!r}")
-    try:
-        gamma = parse_degree(raw)
-    except DecimalFormatError as e:
-        raise _fail(where, str(e)) from None
-    if gamma == 0:
-        raise _fail(where, "gamma must be positive")
-    return gamma
+    return FuzzySet(universe, tuple(_degree(item, f"{where}[{j}]") for j, item in enumerate(raw)))
 
 
 def _parse_named_sets(raw, universe: Universe, where: str) -> list[tuple[str, FuzzySet]]:
-    if not isinstance(raw, list) or not raw:
-        raise _fail(where, "expected a non-empty list of named membership vectors")
+    if not isinstance(raw, list):
+        raise _fail(where, "expected a list of named membership vectors")
     out = []
     for i, entry in enumerate(raw):
         name = _need(entry, "name", str, f"{where}[{i}]")
@@ -182,21 +170,18 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
             f"unknown top-level key {unknown[0]!r} (expected {', '.join(TOP_LEVEL_KEYS)})",
         )
 
-    names = _need(doc, "universe", list, origin)
-    if not all(isinstance(n, str) for n in names):
-        raise _fail(f"{origin}.universe", "object names must be strings")
-    for i, n in enumerate(names):
-        _writable(n, f"{origin}.universe[{i}]")
     try:
-        universe = Universe(tuple(names))
+        universe = Universe(tuple(_need(doc, "universe", list, origin)))
     except StructuralError as e:
         raise _fail(f"{origin}.universe", str(e)) from None
+    for i, n in enumerate(universe.objects):
+        _writable(n, f"{origin}.universe[{i}]")
 
     coverings: list[FuzzyCovering] = []
     for i, block in enumerate(_optional(doc, "coverings", list, origin)):
         where = f"{origin}.coverings[{i}]"
         name = _need(block, "name", str, where)
-        gamma = _parse_gamma(block.get("gamma"), f"{where}.gamma")
+        gamma = _degree(block.get("gamma"), f"{where}.gamma")
         members = _parse_named_sets(block.get("members"), universe, f"{where}.members")
         try:
             coverings.append(FuzzyCovering(name, universe, tuple(members), gamma))
@@ -206,7 +191,7 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
     for i, block in enumerate(_optional(doc, "experts", list, origin)):
         where = f"{origin}.experts[{i}]"
         name = _need(block, "name", str, where)
-        gamma = _parse_gamma(block.get("gamma"), f"{where}.gamma")
+        gamma = _degree(block.get("gamma"), f"{where}.gamma")
         reports = []
         raw_reports = _need(block, "reports", list, where)
         for j, rep in enumerate(raw_reports):
@@ -219,9 +204,6 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
             coverings.append(build_covering_from_reports(name, reports, gamma))
         except StructuralError as e:
             raise _fail(where, str(e)) from None
-
-    if not coverings:
-        raise _fail(origin, "no coverings (need a coverings or experts block)")
 
     targets = {
         _writable(tname, f"{origin}.targets"): _parse_degrees(

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,6 +52,30 @@ def test_parse_scaled_refuses_padding(text):
 def test_parse_degree_rejects_numbers():
     with pytest.raises(DecimalFormatError):
         parse_degree(0.5)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize("value", [0.5, 1, True, None, ["0.5"]])
+def test_non_string_refused_with_a_hint(value):
+    with pytest.raises(DecimalFormatError, match="quote it"):
+        parse_scaled(value)  # type: ignore[arg-type]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no digit limit"
+)
+@pytest.mark.parametrize("limit", [None, 640])
+def test_integer_part_past_the_digit_limit(limit):
+    """More integer digits than int() converts is a format error, at any set limit."""
+    default = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        digits = sys.get_int_max_str_digits()
+        assert parse_scaled("9" * digits) == (10**digits - 1) * MICRO
+        with pytest.raises(DecimalFormatError, match=f"{digits + 1} digits"):
+            parse_scaled("9" * (digits + 1) + ".5")
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_parse_scaled_signs_and_range():

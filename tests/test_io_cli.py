@@ -11,7 +11,9 @@ import pytest
 
 from fuzzycover import cli, operators, single, sysio
 from fuzzycover.exact import parse_scaled
+from fuzzycover.generate import generate_system
 from fuzzycover.model import ValidationError
+from fuzzycover.neighborhood import build_table
 
 
 class TestLoad:
@@ -169,6 +171,16 @@ def _replaced(old: str, new: str):
     return build
 
 
+def _with_expert(gamma="0.9", sets=None):
+    """An experts block of one report, by default the price covering's members."""
+    return lambda doc: json.dumps({**doc, "experts": [{
+        "name": "e", "gamma": gamma,
+        "reports": [{
+            "expert": "A", "sets": doc["coverings"][0]["members"] if sets is None else sets,
+        }],
+    }]}).encode()
+
+
 # system files that must end in a parse error, each with a fragment of its message
 MALFORMED_FILES = {
     "coverings is a number": (_edited(coverings=5), ".coverings: expected list, got int"),
@@ -209,6 +221,29 @@ MALFORMED_FILES = {
     "integer past the digit limit": (
         lambda doc: b'{"universe": [' + b"1" * 5000 + b"]}", "invalid JSON",
     ),
+    "degree past the digit limit": (
+        lambda doc: json.dumps({**doc, "targets": {"X": ["9" * 5000] * 8}}).encode(),
+        ".targets.X[0]: integer part has 5000 digits",
+    ),
+    # each rule below is checked once, in exact or model; the file names the block
+    "gamma is a bare number": (
+        _replaced('"gamma": "0.9"', '"gamma": 0.9'), ".coverings[0].gamma: ",
+    ),
+    "gamma is 0": (_replaced('"gamma": "0.9"', '"gamma": "0"'), ".coverings[0]"),
+    "expert gamma is 0": (_with_expert(gamma="0"), ".experts[0]"),
+    "no members": (
+        lambda doc: json.dumps(
+            {**doc, "coverings": [{**doc["coverings"][0], "members": []}]}
+        ).encode(),
+        ".coverings[0]",
+    ),
+    "an expert with no sets": (_with_expert(sets=[]), ".experts[0]"),
+    "no coverings or experts block": (
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "coverings"}).encode(),
+        "covering",
+    ),
+    "object name is a list": (_edited(universe=[[1]]), ".universe: "),
+    "object names are repeated numbers": (_edited(universe=[1, 1]), ".universe: "),
 }
 
 
@@ -294,6 +329,22 @@ class TestCliApprox:
         )
         assert code == 4
         assert "gamma" in err
+
+    @pytest.mark.parametrize("cmd,name,flags", [
+        ("approx", "price.json", ("--op", "grade", "--k", "2")),
+        ("regions", "price.json", ("--op", "grade", "--k", "2")),
+        ("mg", "two_cov.json", ("--op", "mg-grade1", "--k", "2")),
+        ("sweep", "price.json", ("--op", "grade", "--k", "0:2:1")),
+    ])
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_missing_target_refused_before_the_file_is_read(
+        self, capsys, fixtures_dir, cmd, name, flags, exists
+    ):
+        path = fixtures_dir / (name if exists else "nonexistent.json")
+        code, out, err = run_cli(capsys, cmd, str(path), *flags)
+        assert code == 4
+        assert out == ""
+        assert err == "parameter error: the following arguments are required: --target\n"
 
     def test_missing_target_exits_4(self, capsys, fixtures_dir):
         code, _, err = run_cli(
@@ -478,6 +529,60 @@ class TestCliFlags:
         assert out == ""
         assert "--k and --ks" in err
 
+    @pytest.mark.parametrize("cmd,name,op,flag,value", [
+        ("approx", "price.json", "grade", "--k", "9" * 5000),
+        ("mg", "two_cov.json", "mg-grade1", "--ks", "1," + "9" * 5000),
+        ("sweep", "price.json", "grade", "--k", "0:" + "9" * 5000 + ":1"),
+    ], ids=["approx", "mg", "sweep"])
+    def test_value_past_the_digit_limit_exits_4(
+        self, capsys, fixtures_dir, cmd, name, op, flag, value
+    ):
+        code, out, err = run_cli(
+            capsys, cmd, str(fixtures_dir / name), "--op", op, flag, value, "--target", "X",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            f"parameter error: {flag}: integer part has 5000 digits, past this interpreter's limit\n"
+        )
+
+    @pytest.mark.parametrize("cmd,name,flags", [
+        ("neigh", "price.json", ()),
+        ("approx", "price.json", ("--op", "grade", "--k", "2", "--target", "X")),
+        ("regions", "price.json", ("--op", "grade", "--k", "2", "--target", "X")),
+        ("mg", "two_cov.json", ("--op", "mg-grade1", "--k", "2", "--target", "X")),
+        ("sweep", "price.json", ("--op", "grade", "--k", "2", "--target", "X")),
+    ])
+    def test_gamma_flag_refused(self, capsys, fixtures_dir, cmd, name, flags):
+        code, out, err = run_cli(
+            capsys, cmd, str(fixtures_dir / name), *flags, "--gamma", "0.8",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "parameter error: unrecognized arguments: --gamma 0.8\n"
+
+    @pytest.mark.parametrize("stop,step,shown", [
+        ("9" * 30, "1", str(10**30)),
+        ("9" * 4300, "0.000001", "about 10^4306"),
+    ], ids=["30 digits", "4300 digits"])
+    def test_sweep_grid_past_sys_maxsize_is_refused(
+        self, capsys, fixtures_dir, monkeypatch, stop, step, shown
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a refused grid was evaluated")
+
+        monkeypatch.setattr(operators, "run", must_not_run)
+        code, out, err = run_cli(
+            capsys, "sweep", str(fixtures_dir / "price.json"),
+            "--op", "grade", "--k", f"0:{stop}:{step}", "--target", "X",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            f"parameter error: sweep grid has {shown} points, "
+            f"more than the limit of {cli.MAX_SWEEP_POINTS}\n"
+        )
+
     @pytest.mark.parametrize("limit,code", [(12, 4), (13, 0)])
     def test_sweep_grid_bound(self, capsys, fixtures_dir, monkeypatch, limit, code):
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", limit)
@@ -544,6 +649,25 @@ class TestCliOutput:
         assert real.stat().st_mode & 0o777 == 0o640
         assert link.is_symlink()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "x.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ("neigh", "price.json"),
+        ("approx", "price.json", "--op", "grade", "--k", "2", "--target", "X"),
+        ("regions", "price.json", "--op", "grade", "--k", "2", "--target", "X"),
+        ("mg", "two_cov.json", "--op", "mg-grade1", "--k", "2", "--target", "X"),
+        ("sweep", "price.json", "--op", "grade", "--k", "2", "--target", "X"),
+        ("gen", "--n", "4", "--gamma", "0.9"),
+    ])
+    def test_empty_out_exits_4(self, capsys, fixtures_dir, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        cmd, *rest = argv
+        if cmd != "gen":
+            rest[0] = str(fixtures_dir / rest[0])
+        code, out, err = run_cli(capsys, cmd, *rest, "--out", "")
+        assert code == 4
+        assert out == ""
+        assert err == "parameter error: argument --out: expected a file path, got an empty string\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_to_a_device_writes_in_place(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -631,6 +755,25 @@ class TestCliNeigh:
         assert code == 0
         doc = json.loads(out)
         assert list(doc) == ["quality"]
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rows_shared_by_objects_of_one_signature(self, capsys, tmp_path, fmt):
+        sf = generate_system(40, 1, 3, parse_scaled("0.9"), 0)
+        table = build_table(sf.system.space())
+        assert len(table.distinct) < sf.universe.size
+        path = tmp_path / "gen.json"
+        sysio.dump(sf, str(path))
+        code, out, _ = run_cli(capsys, "neigh", str(path), "--format", fmt)
+        assert code == 0
+        name = sf.system.coverings[0].name
+        if fmt == "json":
+            rows = json.loads(out)[name]["rows"]
+        else:
+            rows = {r[1]: r[2:-1] for r in _csv_rows(out)[1:]}
+        assert sorted(rows) == sorted(sf.universe.objects)
+        for obj, row in rows.items():
+            assert tuple(row) == table.row(obj).degree_strings()
 
 
 class TestCliGen:

@@ -40,6 +40,11 @@ class TestUniverse:
         with pytest.raises(StructuralError):
             Universe(())
 
+    @pytest.mark.parametrize("objects", [([1],), ([1], [1]), (1, 1), ("a", "")])
+    def test_rejects_names_that_are_not_non_empty_strings(self, objects):
+        with pytest.raises(StructuralError, match="non-empty strings"):
+            Universe(objects)
+
     def test_unknown_object(self):
         with pytest.raises(StructuralError):
             U8.index("nope")
