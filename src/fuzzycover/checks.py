@@ -98,6 +98,16 @@ def _as_sets(result):
     return result.lower_set, result.upper_set
 
 
+def _shown(sets, universe) -> str:
+    """`_as_sets` output with each set's names in universe order, the same on every run."""
+    def ordered(names):
+        return sorted(names, key=universe.index)
+
+    if isinstance(sets, dict):
+        return str({label: ordered(names) for label, names in sets.items()})
+    return str(tuple(map(ordered, sets)))
+
+
 def check_one(
     report: DiffReport,
     op: str,
@@ -142,7 +152,9 @@ def check_one(
     ))
     report.comparisons += 1
     if main != got:
-        report.mismatches.append(Mismatch(op, tag, f"main={main} oracle={got}"))
+        u = system.universe
+        detail = f"main={_shown(main, u)} oracle={_shown(got, u)}"
+        report.mismatches.append(Mismatch(op, tag, detail))
 
 
 def run_random(seed: int, count: int) -> DiffReport:

@@ -132,19 +132,19 @@ def _setup(args, ops: dict):
 
 
 def _covering_table(sf: sysio.SystemFile, name: str | None):
-    space = sf.system.space(name)
-    return space, build_table(space)
+    return build_table(sf.system.space(name))
 
 
 def _given(family: str, read) -> dict:
     """{param: read(param)} for the parameters a family reads (`operators.parameters_read`).
 
-    `read` returns None for a flag that was not given.
+    `read` returns None for a flag that was not given.  Every given flag is
+    read, so a malformed value is refused even where the family ignores it.
     """
-    values = {}
-    for param in operators.parameters_read(family):
-        values[param] = read(param)
-        if values[param] is None:
+    given = {param: read(param) for param in ("alpha", "beta", "k")}
+    values = {param: given[param] for param in operators.parameters_read(family)}
+    for param, value in values.items():
+        if value is None:
             raise ParameterError(f"--{param} is required for this operator")
     return values
 
@@ -163,8 +163,11 @@ def _point(values: dict) -> tuple[ThresholdPair | None, Grade | None]:
     return t, k
 
 
-def _emit_result(args, sf: sysio.SystemFile, doc: dict) -> None:
-    doc["residual_mode"] = args.residual_mode
+def _emit_result(args, sf: sysio.SystemFile, result, **fields) -> None:
+    """Write the result document of `result` and `fields` in the --format asked for."""
+    doc = sysio.result_document(
+        result, target=args.target, residual_mode=args.residual_mode, **fields
+    )
     if args.format == "csv":
         _emit(sysio.render_result_csv(doc, sf.universe), args.out)
     else:
@@ -182,59 +185,49 @@ def cmd_validate(args) -> int:
 
 def cmd_neigh(args) -> int:
     sf = sysio.load(args.path)
-    names = (
-        [args.covering]
-        if args.covering
-        else [c.name for c in sf.system.coverings]
-    )
-    doc = {}
+    names = [c.name for c in sf.system.coverings] if args.covering is None else [args.covering]
+    objects = sf.universe.objects
+    rows, doc = [["covering", "object", *objects, "sigma"]], {}
     for name in names:
-        space, table = _covering_table(sf, name)
+        table = _covering_table(sf, name)
         # each distinct row is formatted once and shared by the objects that have it
-        row_strings = [list(row.degree_strings()) for row in table.distinct]
-        sigma_strings = list(map(format_scaled, table.distinct_sigma))
-        doc[name] = {
-            "gamma": format_scaled(space.covering.gamma),
-            "rows": {obj: row_strings[i] for obj, i in zip(sf.universe.objects, table.index)},
-            "sigma": {obj: sigma_strings[i] for obj, i in zip(sf.universe.objects, table.index)},
-        }
-    if args.format == "csv":
-        rows = [["covering", "object", *sf.universe.objects, "sigma"]]
-        for name in names:
-            block = doc[name]
-            for obj in sf.universe.objects:
-                rows.append([name, obj, *block["rows"][obj], block["sigma"][obj]])
-        _emit(sysio.render_csv(rows), args.out)
-    else:
-        _emit(sysio.render_json(doc), args.out)
+        degrees = [list(row.degree_strings()) for row in table.distinct]
+        sigma = list(map(format_scaled, table.distinct_sigma))
+        if args.format == "csv":
+            rows += ([name, obj, *degrees[i], sigma[i]] for obj, i in zip(objects, table.index))
+        else:
+            doc[name] = {
+                "gamma": format_scaled(table.space.covering.gamma),
+                "rows": {obj: degrees[i] for obj, i in zip(objects, table.index)},
+                "sigma": {obj: sigma[i] for obj, i in zip(objects, table.index)},
+            }
+    _emit(sysio.render_csv(rows) if args.format == "csv" else sysio.render_json(doc), args.out)
     return EXIT_OK
 
 
 def cmd_approx(args) -> int:
     sf, op, target, mode = _setup(args, SINGLE_OPS)
-    space, table = _covering_table(sf, args.covering)
+    table = _covering_table(sf, args.covering)
     t, k = _point(_given(op, _flags(args, _parse)))
-    _emit_result(args, sf, sysio.result_document(
-        operators.run(op, table, target, t, k, mode=mode),
-        covering=space.covering.name,
-        target=args.target,
+    _emit_result(
+        args, sf, operators.run(op, table, target, t, k, mode=mode),
+        covering=table.space.covering.name,
         diagnostics=diagnostics(table, target),
-    ))
+    )
     return EXIT_OK
 
 
 def cmd_regions(args) -> int:
     sf, op, target, mode = _setup(args, REGION_OPS)
-    space, table = _covering_table(sf, args.covering)
+    table = _covering_table(sf, args.covering)
     t, k = _point(_given(op, _flags(args, _parse)))
     partition = operators.run(f"{op}-regions", table, target, t, k, mode=mode)
-    _emit_result(args, sf, sysio.result_document(
-        operators.run(op, table, target, t, k, mode=mode),
-        covering=space.covering.name,
-        target=args.target,
+    _emit_result(
+        args, sf, operators.run(op, table, target, t, k, mode=mode),
+        covering=table.space.covering.name,
         regions=partition,
         diagnostics=diagnostics(table, target),
-    ))
+    )
     return EXIT_OK
 
 
@@ -268,10 +261,10 @@ def cmd_mg(args) -> int:
     thresholds, grades = zip(*(
         _point({param: v[i] for param, v in values.items()}) for i in range(system.size)
     ))
-    result = operators.run(family, system, target, thresholds, grades, comb, mode)
-    doc = sysio.result_document(result, target=args.target)
-    doc["coverings"] = [c.name for c in system.coverings]
-    _emit_result(args, sf, doc)
+    _emit_result(
+        args, sf, operators.run(family, system, target, thresholds, grades, comb, mode),
+        coverings=[c.name for c in system.coverings],
+    )
     return EXIT_OK
 
 
@@ -341,7 +334,7 @@ def _name_list(names) -> str:
 def cmd_sweep(args) -> int:
     """One row per grid point of the parameters the op reads, as `approx` would."""
     sf, op, target, mode = _setup(args, SINGLE_OPS)
-    _, table = _covering_table(sf, args.covering)
+    table = _covering_table(sf, args.covering)
     grids = _given(op, _flags(args, _grid))
     # counted without len(), which overflows past sys.maxsize points
     points = math.prod((g.stop - g.start + g.step - 1) // g.step for g in grids.values())

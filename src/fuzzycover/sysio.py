@@ -31,6 +31,12 @@ non-empty strings) is checked once, by `exact` or `model`, and the error is
 reported at the path of the block it came from.  Emitted
 files are canonical: universe order everywhere, minimal decimal strings,
 two-space indentation, sorted result keys.
+
+A result file is one document: `result_document` builds it from the result
+(`operator`, `params`, `lower`, `upper`) and each field the command gives
+(`covering` or `coverings`, `target`, `residual_mode`, `regions`,
+`diagnostics`), and `render_json` or `render_result_csv` writes that
+document as it is.
 """
 
 from __future__ import annotations
@@ -256,28 +262,21 @@ def dump(sf: SystemFile, path: str) -> None:
         fh.write(dumps(sf))
 
 
-def result_document(
-    result,
-    covering: str | None = None,
-    target: str | None = None,
-    regions=None,
-    diagnostics=None,
-) -> dict:
-    doc = {
+def result_document(result, covering=None, coverings=None, target=None,
+                    residual_mode=None, regions=None, diagnostics=None) -> dict:
+    """The document of a result file: the result's operator, parameter echo
+    and lower/upper sets, plus each field that is given."""
+    if regions is not None:
+        regions = {label: list(names) for label, names in regions.as_dict().items()}
+    fields = dict(covering=covering, coverings=coverings, target=target,
+                  residual_mode=residual_mode, regions=regions, diagnostics=diagnostics)
+    return {
         "operator": result.operator,
-        "params": {k: v for k, v in result.params},
+        "params": dict(result.params),
         "lower": list(result.lower),
         "upper": list(result.upper),
+        **{key: value for key, value in fields.items() if value is not None},
     }
-    if covering is not None:
-        doc["covering"] = covering
-    if target is not None:
-        doc["target"] = target
-    if regions is not None:
-        doc["regions"] = {k: list(v) for k, v in regions.as_dict().items()}
-    if diagnostics is not None:
-        doc["diagnostics"] = diagnostics
-    return doc
 
 
 def render_json(doc: dict) -> str:
@@ -285,35 +284,21 @@ def render_json(doc: dict) -> str:
 
 
 def render_result_csv(doc: dict, universe: Universe) -> str:
-    """Flat per-object view of a result document."""
-    lower = set(doc.get("lower", ()))
-    upper = set(doc.get("upper", ()))
-    regions = doc.get("regions") or {}
-    region_of = {}
-    for label, names in regions.items():
-        for n in names:
-            region_of.setdefault(n, []).append(label)
-    diag = {d["object"]: d for d in doc.get("diagnostics") or []}
-    header = ["object", "in_lower", "in_upper"]
-    if regions:
-        header.append("regions")
-    if diag:
-        header += ["overlap", "sigma", "p", "residual_mass", "complement_mass"]
-    rows = [header]
-    for name in universe.objects:
+    """Flat per-object view of a result document, one row per object in universe order.
+
+    The diagnostics entries are listed in universe order too; their columns are
+    the keys of an entry, every key but `object`.
+    """
+    lower, upper = set(doc["lower"]), set(doc["upper"])
+    regions = {label: set(names) for label, names in doc.get("regions", {}).items()}
+    entries = doc.get("diagnostics", [])
+    columns = [key for key in entries[0] if key != "object"] if entries else []
+    rows = [["object", "in_lower", "in_upper", *(["regions"] if regions else []), *columns]]
+    for i, name in enumerate(universe.objects):
         row = [name, str(int(name in lower)), str(int(name in upper))]
         if regions:
-            row.append("|".join(region_of.get(name, [])))
-        if diag:
-            d = diag.get(name, {})
-            row += [
-                d.get("overlap", ""),
-                d.get("sigma", ""),
-                d.get("p", ""),
-                d.get("residual_mass", ""),
-                d.get("complement_mass", ""),
-            ]
-        rows.append(row)
+            row.append("|".join(label for label, names in regions.items() if name in names))
+        rows.append(row + [entries[i][key] for key in columns])
     return render_csv(rows)
 
 

@@ -244,6 +244,12 @@ MALFORMED_FILES = {
     ),
     "object name is a list": (_edited(universe=[[1]]), ".universe: "),
     "object names are repeated numbers": (_edited(universe=[1, 1]), ".universe: "),
+    "two members with one name": (
+        lambda doc: json.dumps({**doc, "coverings": [{
+            **doc["coverings"][0], "members": doc["coverings"][0]["members"][:1] * 2,
+        }]}).encode(),
+        "duplicate member names",
+    ),
 }
 
 
@@ -359,6 +365,21 @@ class TestCliApprox:
             "--op", "prob", "--alpha", "0.25", "--beta", "0.75", "--target", "X",
         )
         assert code == 4
+
+    @pytest.mark.parametrize("name,extra,code,message", [
+        ("two_cov.json", ("--target", "X"), 4, "parameter error: system has several coverings"),
+        ("two_cov.json", ("--target", "X", "--covering", "nope"), 4,
+         "parameter error: no covering named 'nope'"),
+        ("price.json", ("--target", "nope"), 4, "parameter error: no target named 'nope'"),
+        ("nonexistent.json", ("--target", "X"), 2, "No such file or directory"),
+    ], ids=["no-covering", "unknown-covering", "unknown-target", "missing-file"])
+    def test_unknown_name_or_file(self, capsys, fixtures_dir, name, extra, code, message):
+        got, out, err = run_cli(
+            capsys, "approx", str(fixtures_dir / name), "--op", "grade", "--k", "1", *extra,
+        )
+        assert got == code
+        assert out == ""
+        assert message in err
 
     def test_csv_format(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -516,6 +537,20 @@ class TestCliFlags:
             capsys, "mg", str(fixtures_dir / "two_cov.json"), "--op", "mg-prob1",
             "--alphas", alphas, "--betas", betas, "--target", "X",
         )
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"parameter error: {flag}:")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("approx", "price.json", "--op", "prob", "--alpha", "0.5", "--beta", "0.2",
+          "--k", "zz"), "--k"),
+        (("sweep", "price.json", "--op", "grade", "--k", "2", "--alpha", "zz"), "--alpha"),
+        (("mg", "two_cov.json", "--op", "mg-grade1", "--k", "1", "--alphas", "0.5,zz"),
+         "--alphas"),
+    ], ids=["approx", "sweep", "mg"])
+    def test_malformed_value_of_an_unread_flag_exits_4(self, capsys, fixtures_dir, argv, flag):
+        cmd, name, *rest = argv
+        code, out, err = run_cli(capsys, cmd, str(fixtures_dir / name), *rest, "--target", "X")
         assert code == 4
         assert out == ""
         assert err.startswith(f"parameter error: {flag}:")
@@ -756,6 +791,14 @@ class TestCliNeigh:
         doc = json.loads(out)
         assert list(doc) == ["quality"]
 
+    @pytest.mark.parametrize("name", ["", "nope"])
+    def test_unknown_covering_exits_4(self, capsys, fixtures_dir, name):
+        code, out, err = run_cli(
+            capsys, "neigh", str(fixtures_dir / "two_cov.json"), "--covering", name
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("parameter error: no covering named")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_rows_shared_by_objects_of_one_signature(self, capsys, tmp_path, fmt):
@@ -798,6 +841,12 @@ class TestCliGen:
     def test_bad_sizes_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--n", "0", "--gamma", "0.9")
         assert code == 4
+
+    def test_zero_gamma_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--n", "3", "--gamma", "0")
+        assert code == 4
+        assert out == ""
+        assert err == "parameter error: --gamma must be positive\n"
 
 
 class TestCliSweep:
@@ -881,6 +930,19 @@ class TestCliSweep:
         assert _split_names(cells["lower"]) == names[:2]
         assert _split_names(cells["upper"]) == names
 
+    @pytest.mark.parametrize("grid,message", [
+        ("0:1:0", "--k: grid step must be positive"),
+        ("2:1:0.5", "--k: grid stop is below start"),
+    ])
+    def test_empty_grid_exits_4(self, capsys, fixtures_dir, grid, message):
+        code, out, err = run_cli(
+            capsys, "sweep", str(fixtures_dir / "price.json"),
+            "--op", "grade", "--k", grid, "--target", "X",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == f"parameter error: {message}\n"
+
     def test_malformed_grid_exits_4(self, capsys, fixtures_dir):
         code, _, err = run_cli(
             capsys,
@@ -903,6 +965,37 @@ class TestCliCheck:
         code, out, _ = run_cli(capsys, "check", str(fixtures_dir / "two_cov.json"))
         assert code == 0
         assert "differential check ok" in out
+
+    def test_failure_prints_the_same_bytes_under_any_hash_seed(self, fixtures_dir):
+        # prob_approx drops its first lower object, so some prob rounds mismatch
+        script = (
+            "import dataclasses, sys\n"
+            "from fuzzycover import cli, single\n"
+            "right = single.prob_approx\n"
+            "def wrong(*args):\n"
+            "    result = right(*args)\n"
+            "    return dataclasses.replace(result, lower=result.lower[1:])\n"
+            "single.prob_approx = wrong\n"
+            f"sys.exit(cli.main(['check', {str(fixtures_dir / 'price.json')!r}]))\n"
+        )
+        outs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+            )}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == cli.EXIT_CHECK
+            assert b"differential check FAILED\n" in proc.stdout
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
+    def test_neither_path_nor_random_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, "check")
+        assert code == 4
+        assert out == ""
+        assert err == "parameter error: check needs a system file path or --random\n"
 
     def test_random(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--random", "--seed", "3", "--count", "200")
