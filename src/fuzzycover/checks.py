@@ -3,8 +3,11 @@
 Every comparison is exact set equality.  Random instances draw degrees on a
 coarse grid and bias parameters toward exact boundaries: thresholds are
 sometimes taken from realized conditional probabilities (when they are
-representable decimals) and grades from realized overlap sums, so ties like
-P == alpha or overlap == k occur constantly.
+representable decimals) and grades from realized overlap and mass sums.  Of
+2000 `check --random --seed 0` instances, about 1 in 10 draws a threshold
+that some object's P equals exactly and about 1 in 5 a grade equal to some
+object's overlap or mass, so a flipped boundary comparison shows within the
+default 1000 instances.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ Exit codes: 0 ok, 2 file parse error, 3 covering validation error,
 4 parameter error, 5 differential-check failure, 141 standard output closed
 before the command finished writing (the reader went away; nothing more is
 written and nothing is printed to stderr).
+
+The parser refuses a malformed command line before any file is read: an
+unregistered flag, an op id outside the command's table, a scalar flag with
+its list, a path with --random, a count below 1.  The commands check what needs
+the file or the op: decimals, required flags, list lengths, the sweep bound.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import itertools
 import math
 import os
 import sys
+import tempfile
 
 from . import checks, operators, sysio
 from .exact import DecimalFormatError, format_scaled, parse_degree, parse_scaled
@@ -40,12 +46,7 @@ EXIT_CHECK = 5
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 SINGLE_OPS = {
-    "prob": "prob",
-    "grade": "grade",
-    "dq1": "dq1",
-    "dq2": "dq2",
-    "dq-all": "dq1",
-    "dq-any": "dq2",
+    "prob": "prob", "grade": "grade", "dq1": "dq1", "dq2": "dq2", "dq-all": "dq1", "dq-any": "dq2",
 }
 
 REGION_OPS = {"prob": "prob", "grade": "grade"}
@@ -74,33 +75,46 @@ def _out_path(text: str) -> str:
     return text
 
 
+def _positive(text: str) -> int:
+    """An integer flag value of at least 1 (--count, --n, --m, --members)."""
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Write to stdout, or replace the file at `out_path` whole.
 
-    The text goes to a temporary file beside the target (through a symlink,
-    beside the file it names), which then takes the target's permissions and
-    is moved over it with os.replace, so a failed write leaves an existing
-    target as it was.  A target that exists but is not a regular file
-    (/dev/null, a pipe) is written in place: replacing it would put a plain
-    file where it was.
+    The text goes to a new temporary file beside the target (through a
+    symlink, beside the file it names), which then takes the target's
+    permissions, or those a new file gets under the umask, and is moved over
+    it with os.replace, so a failed write leaves an existing target as it
+    was.  A target that exists but is not a regular file (/dev/null, a pipe)
+    is written in place: replacing it would put a plain file where it was.
     """
     if out_path is None:
         sys.stdout.write(text)
         return
     in_place = os.path.exists(out_path) and not os.path.isfile(out_path)
     path = out_path if in_place else os.path.realpath(out_path)
-    tmp = None if in_place else f"{path}.{os.getpid()}.tmp"
-    created = False
+    tmp = None
     try:
-        with open(tmp or path, "x" if tmp else "w", encoding="utf-8") as fh:
-            created = True
+        if in_place:
+            fh = open(path, "w", encoding="utf-8")
+        else:
+            head, name = os.path.split(path)
+            fd, tmp = tempfile.mkstemp(dir=head, prefix=f"{name}.", suffix=".tmp")
+            fh = open(fd, "w", encoding="utf-8")
+        with fh:
             fh.write(text)
         if tmp:
-            if os.path.exists(path):
-                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+            mask = os.umask(0)
+            os.umask(mask)
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~mask)
             os.replace(tmp, path)
     except OSError as e:
-        if tmp and created:
+        if tmp:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
         raise ParameterError(f"--out {out_path}: {e.strerror or e}") from None
@@ -114,25 +128,10 @@ def _parse(param: str, text: str, flag: str | None = None) -> int:
         raise ParameterError(f"{flag or '--' + param}: {e}") from None
 
 
-def _op_id(ops: dict, args):
-    op = ops.get(args.op)
-    if op is None:
-        raise ParameterError(
-            f"unknown operator id {args.op!r} for {args.command} "
-            f"(choose from {', '.join(sorted(ops))})"
-        )
-    return op
-
-
 def _setup(args, ops: dict):
     """Load the file, pick the op, the target and the mode."""
     sf = sysio.load(args.path)
-    op = _op_id(ops, args)
-    return sf, op, sf.target(args.target), ResidualMode(args.residual_mode)
-
-
-def _covering_table(sf: sysio.SystemFile, name: str | None):
-    return build_table(sf.system.space(name))
+    return sf, ops[args.op], sf.target(args.target), ResidualMode(args.residual_mode)
 
 
 def _given(family: str, read) -> dict:
@@ -168,10 +167,8 @@ def _emit_result(args, sf: sysio.SystemFile, result, **fields) -> None:
     doc = sysio.result_document(
         result, target=args.target, residual_mode=args.residual_mode, **fields
     )
-    if args.format == "csv":
-        _emit(sysio.render_result_csv(doc, sf.universe), args.out)
-    else:
-        _emit(sysio.render_json(doc), args.out)
+    as_csv = args.format == "csv"
+    _emit(sysio.render_result_csv(doc, sf.universe) if as_csv else sysio.render_json(doc), args.out)
 
 
 def cmd_validate(args) -> int:
@@ -189,7 +186,7 @@ def cmd_neigh(args) -> int:
     objects = sf.universe.objects
     rows, doc = [["covering", "object", *objects, "sigma"]], {}
     for name in names:
-        table = _covering_table(sf, name)
+        table = build_table(sf.system.space(name))
         # each distinct row is formatted once and shared by the objects that have it
         degrees = [list(row.degree_strings()) for row in table.distinct]
         sigma = list(map(format_scaled, table.distinct_sigma))
@@ -207,7 +204,7 @@ def cmd_neigh(args) -> int:
 
 def cmd_approx(args) -> int:
     sf, op, target, mode = _setup(args, SINGLE_OPS)
-    table = _covering_table(sf, args.covering)
+    table = build_table(sf.system.space(args.covering))
     t, k = _point(_given(op, _flags(args, _parse)))
     _emit_result(
         args, sf, operators.run(op, table, target, t, k, mode=mode),
@@ -219,7 +216,7 @@ def cmd_approx(args) -> int:
 
 def cmd_regions(args) -> int:
     sf, op, target, mode = _setup(args, REGION_OPS)
-    table = _covering_table(sf, args.covering)
+    table = build_table(sf.system.space(args.covering))
     t, k = _point(_given(op, _flags(args, _parse)))
     partition = operators.run(f"{op}-regions", table, target, t, k, mode=mode)
     _emit_result(
@@ -234,16 +231,15 @@ def cmd_regions(args) -> int:
 def _per_covering(args, m: int):
     """A `_given` reader: one value per covering, from --<param>s or a uniform --<param>.
 
-    Each comma-separated entry of --<param>s is parsed as it is, like the
-    scalar flag: padding or an empty entry is refused, not dropped.
+    The parser lets at most one of the two through.  Each comma-separated entry
+    of --<param>s is parsed as it is, like the scalar flag: padding or an empty
+    entry is refused, not dropped.
     """
 
     def read(param: str):
         uniform, listed = getattr(args, param), getattr(args, param + "s")
         if listed is None:
             return None if uniform is None else (_parse(param, uniform),) * m
-        if uniform is not None:
-            raise ParameterError(f"--{param} and --{param}s both given; pass one of them")
         values = tuple(_parse(param, part, f"--{param}s") for part in listed.split(","))
         if len(values) != m:
             raise ParameterError(
@@ -273,19 +269,11 @@ RANDOM_COUNT = 1000  # instances of `check --random` without --count
 
 def cmd_check(args) -> int:
     if args.random:
-        if args.path is not None:
-            raise ParameterError("check takes a system file or --random, not both")
-        count = RANDOM_COUNT if args.count is None else args.count
-        if count < 1:
-            raise ParameterError("--count must be >= 1")
-        report = checks.run_random(seed=args.seed, count=count)
+        report = checks.run_random(seed=args.seed, count=args.count or RANDOM_COUNT)
     else:
-        if not args.path:
-            raise ParameterError("check needs a system file path or --random")
         if args.count is not None:
             raise ParameterError("--count applies to --random only")
-        sf = sysio.load(args.path)
-        report = checks.run_file(sf, seed=args.seed)
+        report = checks.run_file(sysio.load(args.path), seed=args.seed)
     print(report.describe())
     if not report.ok:
         print("differential check FAILED")
@@ -295,8 +283,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1 or args.m < 1 or args.members < 1:
-        raise ParameterError("--n, --m and --members must all be >= 1")
     gamma = _parse("gamma", args.gamma)
     if gamma == 0:
         raise ParameterError("--gamma must be positive")
@@ -334,7 +320,7 @@ def _name_list(names) -> str:
 def cmd_sweep(args) -> int:
     """One row per grid point of the parameters the op reads, as `approx` would."""
     sf, op, target, mode = _setup(args, SINGLE_OPS)
-    table = _covering_table(sf, args.covering)
+    table = build_table(sf.system.space(args.covering))
     grids = _given(op, _flags(args, _grid))
     # counted without len(), which overflows past sys.maxsize points
     points = math.prod((g.stop - g.start + g.step - 1) // g.step for g in grids.values())
@@ -361,28 +347,37 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _result_parser(sub, name: str, func, help: str, op_help: str, covering=True, fmt=True):
-    """A result subcommand: the parameter flags, plus --covering and --format if it reads them."""
+def _result_parser(sub, name: str, func, help: str, ops: dict, fused=False, fmt=True):
+    """A result subcommand: --op from `ops`, the parameter flags, and --format if it writes one.
+
+    A fused (mg) command reads every covering, so it has no --covering, and
+    takes each parameter as a scalar or as a per-covering list, not both.
+    """
     p = sub.add_parser(name, help=help)
     p.add_argument("path")
-    p.add_argument("--op", required=True, help=op_help)
+    p.add_argument("--op", required=True, choices=ops, help="operator id")
     p.add_argument("--target", required=True, help="target fuzzy set name from the file")
-    if covering:
+    if not fused:
         p.add_argument("--covering", help="covering name (needed when the file has several)")
-    p.add_argument("--alpha", help="probabilistic lower threshold, e.g. 0.75")
-    p.add_argument("--beta", help="probabilistic upper threshold, e.g. 0.25")
-    p.add_argument("--k", help="grade threshold, e.g. 2")
+    for param, text in (
+        ("alpha", "probabilistic lower threshold, e.g. 0.75"),
+        ("beta", "probabilistic upper threshold, e.g. 0.25"),
+        ("k", "grade threshold, e.g. 2"),
+    ):
+        group = p.add_mutually_exclusive_group() if fused else p
+        group.add_argument(f"--{param}", help=text)
+        if fused:
+            group.add_argument(f"--{param}s", help=f"comma list, one {param} per covering")
     p.add_argument(
         "--residual-mode",
-        choices=["residual", "complement"],
-        default="residual",
-        help="reading of the grade lower-approximation mass (default: residual)",
+        choices=[mode.value for mode in ResidualMode],
+        default=ResidualMode.RESIDUAL.value,
+        help="reading of the grade lower-approximation mass (default: %(default)s)",
     )
     if fmt:
         p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=_out_path, help="write output to a file instead of stdout")
     p.set_defaults(func=func)
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,36 +398,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_neigh)
 
-    single_ops = "prob | grade | dq1 | dq2 (dq-all/dq-any)"
-    _result_parser(sub, "approx", cmd_approx, "lower/upper approximation of a target", single_ops)
+    _result_parser(sub, "approx", cmd_approx, "lower/upper approximation of a target", SINGLE_OPS)
     _result_parser(sub, "regions", cmd_regions, "three-way / five-way decision regions",
-                   "prob | grade")
-    p = _result_parser(
-        sub, "mg", cmd_mg, "multi-granulation fused approximations",
-        "mg-prob1|mg-prob2|mg-grade1|mg-grade2|mg-dq1|mg-dq2 (-all/-any aliases)",
-        covering=False,
-    )
-    for param in ("alpha", "beta", "k"):
-        p.add_argument(f"--{param}s", help=f"comma list, one {param} per covering")
+                   REGION_OPS)
+    _result_parser(sub, "mg", cmd_mg, "multi-granulation fused approximations", MG_OPS,
+                   fused=True)
 
     p = sub.add_parser("check", help="differential check against the brute-force path")
-    p.add_argument("path", nargs="?")
-    p.add_argument("--random", action="store_true", help="run on random instances")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("path", nargs="?")
+    source.add_argument("--random", action="store_true", help="run on random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, help=f"random instances (default {RANDOM_COUNT})")
+    p.add_argument("--count", type=_positive, help=f"random instances (default {RANDOM_COUNT})")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate a random valid system file")
-    p.add_argument("--n", type=int, required=True, help="universe size")
-    p.add_argument("--m", type=int, default=1, help="number of coverings")
-    p.add_argument("--members", type=int, default=3, help="members per covering")
+    p.add_argument("--n", type=_positive, required=True, help="universe size")
+    p.add_argument("--m", type=_positive, default=1, help="number of coverings")
+    p.add_argument("--members", type=_positive, default=3, help="members per covering")
     p.add_argument("--gamma", required=True, help="covering threshold, e.g. 0.9")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_gen)
 
     _result_parser(sub, "sweep", cmd_sweep,
-                   "evaluate an operator over start:stop:step grids (CSV)", single_ops, fmt=False)
+                   "evaluate an operator over start:stop:step grids (CSV)", SINGLE_OPS, fmt=False)
 
     return parser
 

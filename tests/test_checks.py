@@ -2,10 +2,11 @@
 
 The mutant tests break one main-path operator family at a time, where
 `check_one` looks it up, and require `run_random` to report mismatches for
-that family and no other.  The replay digest pins every oracle call that a
-fixed set of checks makes (name, arguments, result), so a change to how
-instances or parameters are drawn shows up here, and a `seed=… i=…` tag keeps
-naming the same instance.
+that family and no other; the boundary tests flip one of the paper's exact
+comparisons and require mismatches for exactly the families that make it.
+The replay digest pins every oracle call that a fixed set of checks makes
+(name, arguments, result), so a change to how instances or parameters are
+drawn shows up here, and a `seed=… i=…` tag keeps naming the same instance.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import hashlib
 
 import pytest
 
-from fuzzycover import checks, operators, oracle
+from fuzzycover import checks, cli, operators, oracle, single
+from fuzzycover.exact import MICRO
 from fuzzycover.model import (
     ApproximationSpace,
     FuzzyCovering,
     FuzzySet,
+    Grade,
     MultiGranulationSystem,
 )
 from fuzzycover.sysio import load
@@ -99,3 +102,28 @@ def test_mutant_is_caught(monkeypatch, op):
     report = checks.run_random(seed=7, count=270)
     assert report.mismatches, f"a broken {op} went unnoticed"
     assert {m.op for m in report.mismatches} == {op}
+
+
+def _strict(right):
+    """`single.ratio_ge` made strict: P > threshold."""
+    return lambda num, den, threshold: num * MICRO > threshold * den
+
+
+def _grades_lowered(right):
+    """`single.flags` with each grade one micro-unit lower: overlap >= k, mass < k."""
+    def wrong(target, tests, *args):
+        tests = [(table, t, None if k is None else Grade(k.k - 1)) for table, t, k in tests]
+        return right(target, tests, *args)
+
+    return wrong
+
+
+# the paper's boundary rules: P >= alpha, P >= beta, overlap > k and mass <= k
+@pytest.mark.parametrize("name,mutant,caught", [
+    ("ratio_ge", _strict, {"prob", "prob-regions", "dq1", "dq2", "mg-prob", "mg-dq"}),
+    ("flags", _grades_lowered, {"grade", "grade-regions", "dq1", "dq2", "mg-grade", "mg-dq"}),
+], ids=["strict-ratio", "grade-minus-one"])
+def test_boundary_flip_is_caught(monkeypatch, name, mutant, caught):
+    monkeypatch.setattr(single, name, mutant(getattr(single, name)))
+    report = checks.run_random(seed=0, count=cli.RANDOM_COUNT)
+    assert {m.op for m in report.mismatches} == caught

@@ -3,9 +3,12 @@
 `sysio.loads` may only succeed or raise `ParseError`/`ValidationError`, and
 `fuzzycover validate` on the same input written to a file may only exit 0, 2
 or 3, never with another exception.  The numeric flags of approx, regions, mg
-and sweep, run on the fixtures, may only exit 0 or 4.
+and sweep, run on the fixtures, may only exit 0 or 4.  A command line of any
+shape, built from each subcommand's registered flags, may only exit 0, 2, 3
+or 4 with at most one error line.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -130,3 +133,94 @@ def commands(draw):
 def test_numeric_flags_exit_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) in (0, 4)
+
+
+def _registered() -> dict:
+    """{subcommand: {long option or positional name: its action}}, --help left out."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        cmd: {(a.option_strings or [a.dest])[-1]: a for a in p._actions if a.dest != "help"}
+        for cmd, p in sub.choices.items()
+    }
+
+
+REGISTERED = _registered()
+ALL_OP_IDS = sorted({*cli.SINGLE_OPS, *cli.REGION_OPS, *cli.MG_OPS, "nope"})
+
+
+def usually(good: list, bad: list):
+    """One of `good` three times in four, one of `bad` otherwise."""
+    return st.sampled_from([good] * 3 + [bad]).flatmap(st.sampled_from)
+
+
+sizes = st.integers(-2, 3).map(str)
+decimals = usually(["0.25", "0.75", "2"], ["zz"])
+per_covering = usually(["0.25,0.75", "1,2"], ["0.5", "zz,1"])
+SHAPE_VALUES = {
+    "--target": usually(["X"], ["nope"]),
+    "--covering": usually(["price"], ["quality", "nope", ""]),
+    "--alpha": decimals, "--beta": decimals, "--k": decimals,
+    "--alphas": per_covering, "--betas": per_covering, "--ks": per_covering,
+    "--residual-mode": usually(["residual", "complement"], ["both"]),
+    "--format": usually(["json", "csv"], ["xml"]),
+    "--seed": usually(["0", "-1"], ["x"]),
+    "--count": sizes, "--n": sizes, "--m": sizes, "--members": sizes,
+    "--gamma": usually(["0.9", "1"], ["0", "1.5"]),
+}
+PATHS = [str(FIXTURES / "price.json"), str(FIXTURES / "two_cov.json"),
+         str(FIXTURES / "missing.json")]
+
+
+@st.composite
+def command_lines(draw, out_path):
+    """A subcommand with each registered flag present or absent, a path or none.
+
+    A flag or path the parser requires is left out one time in eight.
+    """
+    cmd = draw(st.sampled_from(sorted(REGISTERED)))
+    argv = [cmd]
+    for flag, action in REGISTERED[cmd].items():
+        if not draw(st.sampled_from([True] * 7 + [False]) if action.required else st.booleans()):
+            continue
+        if flag == "--random":
+            argv.append(flag)
+        elif flag == "--op":
+            argv.append(f"--op={draw(usually(list(action.choices), ALL_OP_IDS))}")
+        elif flag == "--out":
+            argv.append(f"--out={draw(usually([out_path], ['']))}")
+        elif flag == "path":
+            argv.append(draw(usually(PATHS[:2], PATHS[2:])))
+        else:
+            argv.append(f"{flag}={draw(SHAPE_VALUES[flag])}")
+    return argv
+
+
+ERROR_PREFIXES = ("parse error: ", "parameter error: ", "validation error: ")
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("shape") / "out.txt")
+
+
+@pytest.fixture(scope="module")
+def few_random_instances():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "RANDOM_COUNT", 3)  # `check --random` without --count
+        yield
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_command_line_shape_exits_with_a_documented_code(out_path, few_random_instances, data):
+    argv = data.draw(command_lines(out_path))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(ERROR_PREFIXES)

@@ -325,7 +325,7 @@ class TestCliApprox:
             "--op", "nope", "--target", "X",
         )
         assert code == 4
-        assert "unknown operator" in err
+        assert "argument --op: invalid choice: 'nope'" in err
 
     def test_gamma_override_rejected(self, capsys, fixtures_dir):
         code, _, err = run_cli(
@@ -562,7 +562,7 @@ class TestCliFlags:
         )
         assert code == 4
         assert out == ""
-        assert "--k and --ks" in err
+        assert "argument --ks: not allowed with argument --k" in err
 
     @pytest.mark.parametrize("cmd,name,op,flag,value", [
         ("approx", "price.json", "grade", "--k", "9" * 5000),
@@ -639,6 +639,47 @@ class TestCliFlags:
             assert len(out.splitlines()) == 14
 
 
+# the long options each subcommand lists under --help, as README's CLI section documents them
+DOCUMENTED_FLAGS = {
+    "validate": "",
+    "neigh": "--covering --format --out",
+    "approx": "--op --target --covering --alpha --beta --k --residual-mode --format --out",
+    "regions": "--op --target --covering --alpha --beta --k --residual-mode --format --out",
+    "mg": "--op --target --alpha --alphas --beta --betas --k --ks --residual-mode --format --out",
+    "sweep": "--op --target --covering --alpha --beta --k --residual-mode --out",
+    "check": "--random --seed --count",
+    "gen": "--n --m --members --gamma --seed --out",
+}
+
+
+class TestCliShape:
+    """The parser refuses a malformed command line before the system file is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ("approx", "--op", "nope", "--target", "X"),
+        ("regions", "--op", "nope", "--target", "X"),
+        ("regions", "--op", "dq1", "--k", "1", "--target", "X"),
+        ("sweep", "--op", "nope", "--target", "X"),
+        ("mg", "--op", "nope", "--target", "X"),
+        ("mg", "--op", "mg-grade1", "--k", "1", "--ks", "1,1", "--target", "X"),
+        ("approx", "--op", "grade", "--k", "1", "--residual-mode", "both", "--target", "X"),
+    ], ids=["approx", "regions", "regions-dq1", "sweep", "mg", "mg-k-ks", "residual-mode"])
+    def test_refused_before_the_file_is_read(self, capsys, tmp_path, argv):
+        cmd, *rest = argv
+        code, out, err = run_cli(capsys, cmd, str(tmp_path / "missing.json"), *rest)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("parameter error: argument --")
+
+    @pytest.mark.parametrize("cmd", list(DOCUMENTED_FLAGS))
+    def test_help_lists_the_documented_flags(self, capsys, cmd):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([cmd, "--help"])
+        assert stop.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed - {"--help"} == set(DOCUMENTED_FLAGS[cmd].split())
+
+
 class TestCliOutput:
     def test_unwritable_out_exits_4(self, capsys, fixtures_dir, tmp_path):
         out_path = tmp_path / "missing" / "x.json"
@@ -711,6 +752,36 @@ class TestCliOutput:
         )
         assert (code, out) == (0, "")
         assert not os.path.isfile(os.devnull)
+
+    def test_stale_temp_file_does_not_block_out(self, capsys, fixtures_dir, tmp_path):
+        # a run killed mid-write leaves its temporary file; a later run may get the same pid
+        stale = tmp_path / f"res.json.{os.getpid()}.tmp"
+        stale.write_bytes(b"left by a killed run\n")
+        out_path = tmp_path / "res.json"
+        argv = ("approx", str(fixtures_dir / "price.json"), "--op", "grade", "--k", "2",
+                "--target", "X")
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (0, "")
+        _, expected, _ = run_cli(capsys, *argv)
+        assert out_path.read_text(encoding="utf-8") == expected
+        assert stale.read_bytes() == b"left by a killed run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res.json", stale.name]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_new_out_file_gets_the_mode_the_umask_allows(
+        self, capsys, fixtures_dir, tmp_path, umask, mode
+    ):
+        out_path = tmp_path / "new.json"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(
+                capsys, "approx", str(fixtures_dir / "price.json"),
+                "--op", "grade", "--k", "2", "--target", "X", "--out", str(out_path),
+            )
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert out_path.stat().st_mode & 0o7777 == mode
 
 
 ODD_NAMES = ("a,b", 'say "hi"', "two\nlines", "cr\rname", "x5", "x6", "x7", "x8")
@@ -995,7 +1066,7 @@ class TestCliCheck:
         code, out, err = run_cli(capsys, "check")
         assert code == 4
         assert out == ""
-        assert err == "parameter error: check needs a system file path or --random\n"
+        assert err == "parameter error: one of the arguments path --random is required\n"
 
     def test_random(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--random", "--seed", "3", "--count", "200")
@@ -1007,7 +1078,7 @@ class TestCliCheck:
         code, out, err = run_cli(capsys, "check", "--random", "--count", count)
         assert code == 4
         assert out == ""
-        assert err == "parameter error: --count must be >= 1\n"
+        assert err == f"parameter error: argument --count: expected an integer >= 1, got '{count}'\n"
 
     def test_random_count_defaults(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "RANDOM_COUNT", 12)
@@ -1021,7 +1092,7 @@ class TestCliCheck:
         )
         assert code == 4
         assert out == ""
-        assert err == "parameter error: check takes a system file or --random, not both\n"
+        assert err == "parameter error: argument path: not allowed with argument --random\n"
 
     def test_count_with_file_exits_4(self, capsys, fixtures_dir):
         code, out, err = run_cli(
