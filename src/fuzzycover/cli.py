@@ -188,7 +188,7 @@ def cmd_neigh(args) -> int:
     for name in names:
         table = build_table(sf.system.space(name))
         # each distinct row is formatted once and shared by the objects that have it
-        degrees = [list(row.degree_strings()) for row in table.distinct]
+        degrees = [list(map(format_scaled, row)) for row in table.distinct]
         sigma = list(map(format_scaled, table.distinct_sigma))
         if args.format == "csv":
             rows += ([name, obj, *degrees[i], sigma[i]] for obj, i in zip(objects, table.index))

@@ -93,7 +93,7 @@ def _check_target(table: NeighborhoodTable, target: FuzzySet) -> None:
 
 def _meet_sums(table: NeighborhoodTable, xs: tuple[int, ...]) -> tuple[int, ...]:
     """sum(xs & N_x) per object: one sum per distinct row, then broadcast."""
-    per_row = [sum(map(min, xs, row.memberships)) for row in table.distinct]
+    per_row = [sum(map(min, xs, row)) for row in table.distinct]
     return tuple(map(per_row.__getitem__, table.index))
 
 
@@ -117,9 +117,9 @@ def mass_sums(
 def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str) -> Fraction:
     """Exact conditional probability of the target given the neighborhood of x."""
     _check_target(table, target)
-    i = table.universe.index(name)
-    num = sum(map(min, target.memberships, table.rows[i].memberships))
-    return Fraction(num, table.sigma[i])
+    i = table.index[table.universe.index(name)]
+    num = sum(map(min, target.memberships, table.distinct[i]))
+    return Fraction(num, table.distinct_sigma[i])
 
 
 def flags(

@@ -21,7 +21,7 @@ from fuzzycover.model import (
     Universe,
 )
 from fuzzycover.multi import mg_dq, mg_grade, mg_prob
-from fuzzycover.neighborhood import build_table
+from fuzzycover.neighborhood import build_table, crisp_neighborhood
 from fuzzycover.single import (
     ResidualMode,
     dq_conjunctive,
@@ -337,7 +337,8 @@ def suite_mg_laws(seed: int, count: int) -> int:
 
 def suite_crisp_reduction(seed: int, count: int) -> int:
     """On 0/1 coverings with gamma = 1 and 0/1 targets, every fuzzy operator
-    agrees with the crisp baseline."""
+    agrees with the crisp baseline; the crisp neighborhood of the same members
+    matches the baseline's at gamma 0.05, 0.5 and 1."""
     for i in range(count):
         rng = random.Random(f"crisp-red:{seed}:{i}")
         n = rng.randint(1, 8)
@@ -394,6 +395,14 @@ def suite_crisp_reduction(seed: int, count: int) -> int:
             crisp_n = oracle.crisp_neighborhood(covering, name)
             assert frozenset(row.support()) == crisp_n
             assert row.is_crisp()
+
+        # the same 0/1 members give the crisp neighborhood at every gamma in (0, 1]
+        for gamma in (50_000, 500_000, MICRO):
+            at_gamma = FuzzyCovering("c", universe, covering_sets, gamma)
+            space_at = ApproximationSpace(universe, at_gamma)
+            for name in universe.objects:
+                row = crisp_neighborhood(space_at, name)
+                assert frozenset(row.support()) == oracle.crisp_neighborhood(at_gamma, name)
     return count
 
 

@@ -17,3 +17,18 @@ def test_every_traced_function_is_defined(monkeypatch):
     listed = sum(len(names) for _, names in spans.LAYERS.values())
     assert len(found) == listed
     assert all(callable(fn) for _, _, _, fn in found)
+
+
+def test_row_counter_reads_each_fixture_table(monkeypatch, fixtures_dir):
+    """The traced row count and run.py's `shape` line read a table as
+    [n, number of distinct rows]; a table change that breaks that fails here."""
+    from fuzzycover.neighborhood import build_table
+    from fuzzycover.sysio import load
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    count_rows = importlib.import_module("spans").COUNTERS["build_table"]
+    for path in sorted(fixtures_dir.glob("*.json")):
+        sf = load(str(path))
+        for covering in sf.system.coverings:
+            table = build_table(sf.system.space(covering.name))
+            assert count_rows(table) == [sf.universe.size, len(table.distinct)]

@@ -564,6 +564,20 @@ class TestCliFlags:
         assert out == ""
         assert "argument --ks: not allowed with argument --k" in err
 
+    def test_mg_negative_list_entry_needs_the_equals_form(self, capsys, fixtures_dir):
+        # argparse reads `-1,2` after a space as a flag
+        path = str(fixtures_dir / "two_cov.json")
+        code, out, err = run_cli(
+            capsys, "mg", path, "--op", "mg-grade1", "--ks", "-1,2", "--target", "X",
+        )
+        assert (code, out) == (4, "")
+        assert err == "parameter error: argument --ks: expected one argument\n"
+        code, out, _ = run_cli(
+            capsys, "mg", path, "--op", "mg-grade1", "--ks=-1,2", "--target", "X",
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["ks"] == "-1,2"
+
     @pytest.mark.parametrize("cmd,name,op,flag,value", [
         ("approx", "price.json", "grade", "--k", "9" * 5000),
         ("mg", "two_cov.json", "mg-grade1", "--ks", "1," + "9" * 5000),
@@ -1013,6 +1027,25 @@ class TestCliSweep:
         assert code == 4
         assert out == ""
         assert err == f"parameter error: {message}\n"
+
+    def test_negative_grid_start_needs_the_equals_form(self, capsys, fixtures_dir):
+        # argparse reads `-1:0:0.5` after a space as a flag; a scalar `-0.5` is a number
+        path = str(fixtures_dir / "price.json")
+        code, out, err = run_cli(
+            capsys, "sweep", path, "--op", "grade", "--k", "-1:0:0.5", "--target", "X",
+        )
+        assert (code, out) == (4, "")
+        assert err == "parameter error: argument --k: expected one argument\n"
+        code, out, _ = run_cli(
+            capsys, "sweep", path, "--op", "grade", "--k=-1:0:0.5", "--target", "X",
+        )
+        assert code == 0
+        assert [row[0] for row in _csv_rows(out)[1:]] == ["-1", "-0.5", "0"]
+        code, out, _ = run_cli(
+            capsys, "sweep", path, "--op", "grade", "--k", "-0.5", "--target", "X",
+        )
+        assert code == 0
+        assert [row[0] for row in _csv_rows(out)[1:]] == ["-0.5"]
 
     def test_malformed_grid_exits_4(self, capsys, fixtures_dir):
         code, _, err = run_cli(

@@ -1,6 +1,7 @@
 import pytest
 
 from fuzzycover.exact import MICRO, format_scaled, parse_scaled
+from fuzzycover.generate import generate_system
 from fuzzycover.model import ApproximationSpace, FuzzySet, FuzzyCovering, StructuralError, Universe
 from fuzzycover.neighborhood import (
     build_table,
@@ -8,6 +9,7 @@ from fuzzycover.neighborhood import (
     fuzzy_gamma_neighborhood,
     qualifying_members,
 )
+from fuzzycover.sysio import load
 
 from props import suite_neighborhood
 
@@ -82,6 +84,30 @@ class TestTable:
         table = build_table(crisp_space)
         for name in crisp_space.universe.objects:
             assert table.row(name) == crisp_neighborhood(crisp_space, name)
+
+    def test_rows_are_raw_integer_vectors(self, monkeypatch, fixtures_dir):
+        # a table stores int tuples; FuzzySets appear only where a row leaves it
+        files = [load(str(path)) for path in sorted(fixtures_dir.glob("*.json"))]
+        files.append(generate_system(40, 2, 6, parse_scaled("0.6"), 3))
+        spaces = [sf.system.space(c.name) for sf in files for c in sf.system.coverings]
+        built = []
+        validate = FuzzySet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(FuzzySet, "__post_init__", counting)
+        for space in spaces:
+            built.clear()
+            table = build_table(space)
+            assert built == []
+            for row in table.distinct:
+                assert type(row) is tuple
+                assert all(type(v) is int for v in row)
+            for i, name in enumerate(space.universe.objects):
+                assert table.row(name) == fuzzy_gamma_neighborhood(space, name)
+                assert table.sigma[i] == table.row(name).sigma_count()
 
 
 def test_property_suite():
