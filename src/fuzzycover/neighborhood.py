@@ -8,9 +8,11 @@ at x exactly when it contains x, so the crisp neighborhood is the same meet.
 
 N_x depends only on the *signature* of x, the set of qualifying members, so
 objects with equal signatures share one row.  A table stores the d distinct
-rows as integer vectors, their sigma-counts and an index from each object to
-its row; building it costs O(n * members + n * d * members) instead of
-O(n^2 * members), and operators evaluate each distinct row once.  The
+rows, their sigma-counts and an index from each object to its row; building
+it costs O(n * members + n * d * members) instead of O(n^2 * members), and
+operators evaluate each distinct row once.  Each row is stored packed, one
+int with a 32-bit lane per degree (`lanes`), and every meet, here and in the
+operators, is the exact lane meet.  The integer vectors (`distinct`) and the
 per-object `sigma` and `rows` are views built on first use.  A minimum of
 valid degrees is a valid degree, so fuzzy sets are validated where they enter
 the package and where a neighborhood leaves it, not per table row.
@@ -18,9 +20,10 @@ the package and where a neighborhood leaves it, not per table row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
+from . import lanes
 from .model import ApproximationSpace, FuzzySet, StructuralError
 
 
@@ -28,20 +31,26 @@ from .model import ApproximationSpace, FuzzySet, StructuralError
 class NeighborhoodTable:
     """Distinct neighborhoods and sigma-counts for one covering.
 
-    `distinct[index[i]]` is the membership vector of the i-th object's
-    neighborhood and `distinct_sigma[index[i]]` its sigma-count.  `sigma` and
-    `rows` give the same values per object; `rows` shares one FuzzySet per
-    distinct row.
+    `packed[index[i]]` is the i-th object's neighborhood as packed lanes,
+    `distinct[index[i]]` the same row as an integer vector and
+    `distinct_sigma[index[i]]` its sigma-count.  `sigma` and `rows` give the
+    same values per object; `rows` shares one FuzzySet per distinct row.
     """
 
     space: ApproximationSpace
-    distinct: tuple[tuple[int, ...], ...]
+    # one int of n lanes per row: its decimal repr can pass the interpreter's digit limit
+    packed: tuple[int, ...] = field(repr=False)
     distinct_sigma: tuple[int, ...]
     index: tuple[int, ...]
 
     @property
     def universe(self):
         return self.space.universe
+
+    @cached_property
+    def distinct(self) -> tuple[tuple[int, ...], ...]:
+        n = self.universe.size
+        return tuple(lanes.unpack(row, n) for row in self.packed)
 
     @cached_property
     def sigma(self) -> tuple[int, ...]:
@@ -65,12 +74,10 @@ def _signature(vectors: tuple[tuple[int, ...], ...], gamma: int, index: int) -> 
     return tuple(j for j, v in enumerate(vectors) if v[index] >= gamma)
 
 
-def _meet(vectors: tuple[tuple[int, ...], ...], signature: tuple[int, ...]) -> tuple[int, ...]:
-    """Pointwise min of the member vectors at the signature's positions."""
+def _meet(packed, signature: tuple[int, ...], n: int) -> int:
+    """Lane meet of the packed member rows at the signature's positions."""
     # the covering condition guarantees the signature is non-empty
-    if len(signature) == 1:  # map(min, v) over a single vector would call min(int)
-        return vectors[signature[0]]
-    return tuple(map(min, *(vectors[j] for j in signature)))
+    return reduce(lambda a, b: lanes.meet(a, b, n), (packed[j] for j in signature))
 
 
 def qualifying_members(space: ApproximationSpace, index: int) -> tuple[str, ...]:
@@ -81,9 +88,10 @@ def qualifying_members(space: ApproximationSpace, index: int) -> tuple[str, ...]
 
 def fuzzy_gamma_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
     """Pointwise min of all members with degree >= gamma at the object."""
-    vectors = _vectors(space)
+    vectors, n = _vectors(space), space.universe.size
     signature = _signature(vectors, space.covering.gamma, space.universe.index(name))
-    return FuzzySet(space.universe, _meet(vectors, signature))
+    row = _meet(tuple(map(lanes.pack, vectors)), signature, n)
+    return FuzzySet(space.universe, lanes.unpack(row, n))
 
 
 def crisp_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
@@ -95,11 +103,12 @@ def crisp_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
 
 def build_table(space: ApproximationSpace) -> NeighborhoodTable:
     """One row per distinct signature, in order of first occurrence."""
-    vectors, gamma = _vectors(space), space.covering.gamma
+    vectors, gamma, n = _vectors(space), space.covering.gamma, space.universe.size
     slots: dict[tuple[int, ...], int] = {}
     index = tuple(
         slots.setdefault(_signature(vectors, gamma, i), len(slots))
-        for i in range(space.universe.size)
+        for i in range(n)
     )
-    distinct = tuple(_meet(vectors, signature) for signature in slots)
-    return NeighborhoodTable(space, distinct, tuple(map(sum, distinct)), index)
+    members = tuple(map(lanes.pack, vectors))
+    packed = tuple(_meet(members, signature, n) for signature in slots)
+    return NeighborhoodTable(space, packed, tuple(lanes.lane_sum(row, n) for row in packed), index)

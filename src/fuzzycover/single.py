@@ -17,6 +17,11 @@ on fuzzy ones:
 `residual` is the default; `complement` is available for textual fidelity to
 the alternative formula.
 
+Both sums are one pass over the table's d distinct rows: the target is packed
+once and each row costs one exact lane meet-sum (`lanes.meet_sums`), a few
+big-int operations and a C-level sum, not one Python `min` per degree.  The
+per-object values are then broadcast through the table's index.
+
 Every operator is one fold: `flags` takes a list of (table, t, k) tests, runs
 the prob tests of each entry that has `t` and the grade tests of each that has
 `k`, and joins every selected test per object with one `all` or `any`.  prob
@@ -35,6 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress
 
+from . import lanes
 from .exact import MICRO, format_scaled, ratio_ge
 from .model import FuzzySet, Grade, ParameterError, ThresholdPair
 from .neighborhood import NeighborhoodTable
@@ -92,8 +98,8 @@ def _check_target(table: NeighborhoodTable, target: FuzzySet) -> None:
 
 
 def _meet_sums(table: NeighborhoodTable, xs: tuple[int, ...]) -> tuple[int, ...]:
-    """sum(xs & N_x) per object: one sum per distinct row, then broadcast."""
-    per_row = [sum(map(min, xs, row)) for row in table.distinct]
+    """sum(xs & N_x) per object: one lane meet-sum per distinct row, then broadcast."""
+    per_row = lanes.meet_sums(lanes.pack(xs), table.packed, len(xs))
     return tuple(map(per_row.__getitem__, table.index))
 
 
@@ -118,7 +124,8 @@ def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str) -> Fraction
     """Exact conditional probability of the target given the neighborhood of x."""
     _check_target(table, target)
     i = table.index[table.universe.index(name)]
-    num = sum(map(min, target.memberships, table.distinct[i]))
+    xs = target.memberships
+    (num,) = lanes.meet_sums(lanes.pack(xs), (table.packed[i],), len(xs))
     return Fraction(num, table.distinct_sigma[i])
 
 

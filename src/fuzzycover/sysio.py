@@ -123,6 +123,14 @@ def _parse_degrees(raw, universe: Universe, where: str) -> FuzzySet:
         raise _fail(where, "expected a list of degree strings")
     if len(raw) != universe.size:
         raise _fail(where, f"vector length {len(raw)} != universe size {universe.size}")
+    # a vector repeats a few spellings many times: parse each distinct one once
+    if set(map(type, raw)) == {str}:  # set() needs hashable items; others fail below
+        try:
+            scaled = {text: parse_degree(text) for text in set(raw)}
+        except DecimalFormatError:
+            pass  # the scan below reports the first bad position
+        else:
+            return FuzzySet(universe, tuple(map(scaled.__getitem__, raw)))
     return FuzzySet(universe, tuple(_degree(item, f"{where}[{j}]") for j, item in enumerate(raw)))
 
 

@@ -4,7 +4,8 @@ At n <= 16 (the acceptance gate) almost every object has its own signature,
 so the shared rows hardly act.  These systems are large enough that
 signatures collide (few members, or gamma = 1) and also stay unique (many
 members at low gamma), and every operator must still equal `oracle.py` by
-exact set equality.
+exact set equality.  At the same sizes, with 16 members and d near n, every
+row and sum of the packed-lane kernel must equal the per-element loop.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from fuzzycover.generate import generate_system
 from fuzzycover.model import Grade, ThresholdPair
 from fuzzycover.multi import Combinator, mg_dq, mg_grade, mg_prob
 from fuzzycover.neighborhood import build_table, fuzzy_gamma_neighborhood
-from fuzzycover.single import ResidualMode
+from fuzzycover.single import ResidualMode, mass_sums, overlap_sums
 
 SIZES = (50, 150, 300)
 MEMBERS = (3, 12)
@@ -109,3 +110,28 @@ def test_instances_share_rows_and_keep_them_unique():
             counts.append((n, len(build_table(system.space(covering.name)).distinct)))
     assert any(d < n for n, d in counts)
     assert any(d == n for n, d in counts)
+
+
+@pytest.mark.parametrize("n", (50, 173, 300))
+def test_lane_kernel_matches_the_per_element_meet(n):
+    sf = generate_system(n, 1, 16, 900_000, seed=n)
+    space, target = sf.system.space(), sf.target("X")
+    vectors, gamma = [s.memberships for s in space.covering.member_sets], space.covering.gamma
+    table = build_table(space)
+    assert len(table.distinct_sigma) >= 0.8 * n  # d near n: the rows are hardly shared
+    rows = []
+    for i, name in enumerate(space.universe.objects):
+        row = tuple(map(min, zip(*[v for v in vectors if v[i] >= gamma])))
+        rows.append(row)
+        assert table.distinct[table.index[i]] == row
+        assert table.sigma[i] == sum(row)
+        assert fuzzy_gamma_neighborhood(space, name).memberships == row
+    xs, cs = target.memberships, target.complement().memberships
+    overlap = tuple(sum(map(min, xs, row)) for row in rows)
+    assert overlap_sums(table, target) == overlap
+    assert mass_sums(table, target, ResidualMode.RESIDUAL) == tuple(
+        sum(row) - o for row, o in zip(rows, overlap)
+    )
+    assert mass_sums(table, target, ResidualMode.COMPLEMENT) == tuple(
+        sum(map(min, cs, row)) for row in rows
+    )

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fuzzycover import cli, operators, single, sysio
+from fuzzycover import cli, multi, operators, single, sysio
 from fuzzycover.exact import parse_scaled
 from fuzzycover.generate import generate_system
 from fuzzycover.model import ValidationError
@@ -45,6 +45,25 @@ class TestLoad:
         doc["targets"]["X"][0] = "0.1234567"
         with pytest.raises(sysio.ParseError, match="6 fractional digits"):
             sysio.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("degrees,where,message", [
+        (["0.5", "bad", "0.5", "bad"], "X[1]", "not a decimal"),
+        (["0.5", ["x"], "bad", "1"], "X[1]", "got list"),
+        (["0.5", "0.5", "2", {}], "X[2]", "degree out of [0, 1]: '2'"),
+        (["0.5", "0.5", "0.5", 0.5], "X[3]", "got float"),
+    ], ids=["repeated-bad", "unhashable", "bad-before-unhashable", "number-last"])
+    def test_degree_error_names_the_first_bad_position(self, degrees, where, message):
+        # each distinct spelling is parsed once, but errors still come in vector order
+        doc = {
+            "universe": ["a", "b", "c", "d"],
+            "coverings": [{"name": "c", "gamma": "0.5",
+                           "members": [{"name": "m", "degrees": ["1"] * 4}]}],
+            "targets": {"X": degrees},
+        }
+        with pytest.raises(sysio.ParseError) as info:
+            sysio.loads(json.dumps(doc), origin="f")
+        assert str(info.value).startswith(f"f.targets.{where}: ")
+        assert message in str(info.value)
 
     def test_rejects_wrong_vector_length(self, price_file):
         doc = json.loads(sysio.dumps(price_file))
@@ -902,6 +921,34 @@ class TestCliNeigh:
         assert sorted(rows) == sorted(sf.universe.objects)
         for obj, row in rows.items():
             assert tuple(row) == table.row(obj).degree_strings()
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("argv", [
+        ("approx", "--op", "dq1", "--alpha", "0.75", "--beta", "0.25", "--k", "1",
+         "--covering", "price"),
+        ("regions", "--op", "grade", "--k", "1", "--covering", "price"),
+        ("mg", "--op", "mg-dq1", "--alpha", "0.75", "--beta", "0.25", "--k", "1"),
+        ("sweep", "--op", "grade", "--k", "0:2:0.5", "--covering", "quality"),
+    ], ids=["approx", "regions", "mg", "sweep"])
+    def test_results_never_unpack_the_rows(self, capsys, monkeypatch, fixtures_dir, argv):
+        # tables keep only packed rows; an integer-vector copy of every row
+        # is built on demand (neigh), never by a command that evaluates
+        tables = []
+
+        def recording(space):
+            tables.append(build_table(space))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "build_table", recording)
+        monkeypatch.setattr(multi, "build_table", recording)
+        path = str(fixtures_dir / "two_cov.json")
+        code, _, _ = run_cli(capsys, argv[0], path, *argv[1:], "--target", "X")
+        assert code == 0
+        assert tables
+        for table in tables:
+            assert "distinct" not in vars(table)
+            assert "rows" not in vars(table)
 
 
 class TestCliGen:

@@ -1,0 +1,91 @@
+"""Packed-lane meet and meet-sum against the plain per-element loop.
+
+Every lane result must equal `map(min, ...)` and `sum` exactly, at the
+extremes of a degree (0 and MICRO), on equal lanes, at n = 1, odd n and n up
+to a few hundred.  The lane layout rests on a 4-byte `array("I")` item and on
+MICRO < 2^31; those are checked here rather than at import time.
+"""
+
+import random
+import sys
+from array import array
+
+from hypothesis import given, settings, strategies as st
+
+from fuzzycover import lanes
+from fuzzycover.exact import MICRO
+
+EXTREMES = (0, MICRO, MICRO - 1, 1)
+sizes = st.one_of(st.sampled_from((1, 2, 3, 299, 300)), st.integers(1, 300))
+
+
+@st.composite
+def vectors(draw, count: int):
+    """`count` degree vectors of one drawn length.
+
+    A quarter of the lanes are extremes, and a quarter of the lanes of every
+    vector after the first copy the first, so equal lanes are common.
+    """
+    n, rng = draw(sizes), random.Random(draw(st.integers(0, 2**32)))
+
+    def degree():
+        return rng.choice(EXTREMES) if rng.random() < 0.25 else rng.randint(0, MICRO)
+
+    first = [degree() for _ in range(n)]
+    vs = [first] + [
+        [f if rng.random() < 0.25 else degree() for f in first] for _ in range(count - 1)
+    ]
+    return n, [tuple(v) for v in vs]
+
+
+def test_lane_layout_holds():
+    assert array("I").itemsize == 4
+    assert MICRO < 2**31
+
+
+def test_pack_reads_the_native_byte_order():
+    xs = (0, 1, 2**31 - 1, MICRO, 7)
+    raw = array("I", xs).tobytes()
+    assert lanes.pack(xs) == int.from_bytes(raw, sys.byteorder)
+    assert lanes.unpack(int.from_bytes(raw, sys.byteorder), len(xs)) == xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors(1))
+def test_pack_unpack_round_trip_and_lane_sum(drawn):
+    n, (xs,) = drawn
+    v = lanes.pack(xs)
+    assert lanes.unpack(v, n) == xs
+    assert lanes.lane_sum(v, n) == sum(xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors(2))
+def test_meet_is_the_pointwise_min(drawn):
+    n, (a, b) = drawn
+    want = tuple(map(min, a, b))
+    assert lanes.unpack(lanes.meet(lanes.pack(a), lanes.pack(b), n), n) == want
+    assert lanes.unpack(lanes.meet(lanes.pack(b), lanes.pack(a), n), n) == want
+    assert lanes.meet(lanes.pack(a), lanes.pack(a), n) == lanes.pack(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors(4))
+def test_meet_sums_equal_the_per_element_sums(drawn):
+    n, (x, *rows) = drawn
+    rows.append(x)  # a row equal to the target
+    got = lanes.meet_sums(lanes.pack(x), [lanes.pack(r) for r in rows], n)
+    assert got == [sum(map(min, x, r)) for r in rows]
+    assert got[-1] == sum(x)
+
+
+def test_extreme_lanes_at_every_position():
+    n = 33
+    top, zero = (MICRO,) * n, (0,) * n
+    alternating = tuple(MICRO * (j % 2) for j in range(n))
+    for a in (top, zero, alternating):
+        for b in (top, zero, alternating):
+            assert lanes.unpack(lanes.meet(lanes.pack(a), lanes.pack(b), n), n) == tuple(
+                map(min, a, b)
+            )
+    assert lanes.meet_sums(lanes.pack(top), [lanes.pack(top)], n) == [n * MICRO]

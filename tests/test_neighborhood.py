@@ -85,8 +85,14 @@ class TestTable:
         for name in crisp_space.universe.objects:
             assert table.row(name) == crisp_neighborhood(crisp_space, name)
 
+    def test_repr_of_a_wide_table(self):
+        # a packed row of 600 lanes has more decimal digits than int-to-str allows
+        space = generate_system(600, 1, 2, MICRO // 2, 0).system.space()
+        assert repr(build_table(space)).startswith("NeighborhoodTable(")
+
     def test_rows_are_raw_integer_vectors(self, monkeypatch, fixtures_dir):
-        # a table stores int tuples; FuzzySets appear only where a row leaves it
+        # a table stores packed ints, viewed as int tuples; FuzzySets appear
+        # only where a row leaves it
         files = [load(str(path)) for path in sorted(fixtures_dir.glob("*.json"))]
         files.append(generate_system(40, 2, 6, parse_scaled("0.6"), 3))
         spaces = [sf.system.space(c.name) for sf in files for c in sf.system.coverings]
@@ -102,6 +108,7 @@ class TestTable:
             built.clear()
             table = build_table(space)
             assert built == []
+            assert all(type(row) is int for row in table.packed)
             for row in table.distinct:
                 assert type(row) is tuple
                 assert all(type(v) is int for v in row)
