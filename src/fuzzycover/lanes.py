@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import cache
 
 
 def pack(xs) -> int:
@@ -40,6 +41,7 @@ def _lanes(v: int, n: int) -> array:
     return array("I", v.to_bytes(4 * n, sys.byteorder))
 
 
+@cache  # one int per lane count: a command sees one n, a test run a few hundred
 def _guard(n: int) -> int:
     """Bit 31 of each of n lanes; the same int in either byte order."""
     return int.from_bytes(b"\x80\0\0\0" * n, "big")
@@ -50,9 +52,14 @@ def _meet(a: int, b: int, guard: int) -> int:
     return a ^ ((a ^ b) & (m - (m >> 31)))  # b in those lanes, a elsewhere
 
 
-def meet(a: int, b: int, n: int) -> int:
-    """Pointwise min of two packed rows of n degrees."""
-    return _meet(a, b, _guard(n))
+def meet(rows, n: int) -> int:
+    """Pointwise min of one or more packed rows of n degrees."""
+    guard = _guard(n)
+    rows = iter(rows)
+    acc = next(rows)
+    for row in rows:
+        acc = _meet(acc, row, guard)
+    return acc
 
 
 def meet_sums(x: int, rows, n: int) -> list[int]:

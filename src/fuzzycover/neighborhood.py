@@ -12,16 +12,19 @@ rows, their sigma-counts and an index from each object to its row; building
 it costs O(n * members + n * d * members) instead of O(n^2 * members), and
 operators evaluate each distinct row once.  Each row is stored packed, one
 int with a 32-bit lane per degree (`lanes`), and every meet, here and in the
-operators, is the exact lane meet.  The integer vectors (`distinct`) and the
-per-object `sigma` and `rows` are views built on first use.  A minimum of
-valid degrees is a valid degree, so fuzzy sets are validated where they enter
-the package and where a neighborhood leaves it, not per table row.
+operators, is the exact lane meet.  A table also keeps the per-object sums
+of each target vector it has been evaluated against (`sums`), so a command
+walks the rows at most once per target vector.  The integer vectors
+(`distinct`) and the per-object `sigma` and `rows` are views built on first
+use.  A minimum of valid degrees is a valid degree, so fuzzy sets are
+validated where they enter the package and where a neighborhood leaves it,
+not per table row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 from . import lanes
 from .model import ApproximationSpace, FuzzySet, StructuralError
@@ -35,6 +38,9 @@ class NeighborhoodTable:
     `distinct[index[i]]` the same row as an integer vector and
     `distinct_sigma[index[i]]` its sigma-count.  `sigma` and `rows` give the
     same values per object; `rows` shares one FuzzySet per distinct row.
+    `sums[xs]` is sum(xs & N_x) per object for each target vector `xs` the
+    table has been evaluated against (`single._meet_sums` fills it); it is
+    derived data, so it takes no part in equality, hashing or the repr.
     """
 
     space: ApproximationSpace
@@ -42,6 +48,7 @@ class NeighborhoodTable:
     packed: tuple[int, ...] = field(repr=False)
     distinct_sigma: tuple[int, ...]
     index: tuple[int, ...]
+    sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def universe(self):
@@ -77,7 +84,7 @@ def _signature(vectors: tuple[tuple[int, ...], ...], gamma: int, index: int) -> 
 def _meet(packed, signature: tuple[int, ...], n: int) -> int:
     """Lane meet of the packed member rows at the signature's positions."""
     # the covering condition guarantees the signature is non-empty
-    return reduce(lambda a, b: lanes.meet(a, b, n), (packed[j] for j in signature))
+    return lanes.meet(map(packed.__getitem__, signature), n)
 
 
 def qualifying_members(space: ApproximationSpace, index: int) -> tuple[str, ...]:

@@ -20,7 +20,10 @@ the alternative formula.
 Both sums are one pass over the table's d distinct rows: the target is packed
 once and each row costs one exact lane meet-sum (`lanes.meet_sums`), a few
 big-int operations and a C-level sum, not one Python `min` per degree.  The
-per-object values are then broadcast through the table's index.
+per-object values are then broadcast through the table's index.  A table
+keeps the sums of each target vector it has seen, so the row pass runs once
+per (table, target vector): every later operator, region split, diagnostic,
+sweep point or residual mass over the same table and vector reads them back.
 
 Every operator is one fold: `flags` takes a list of (table, t, k) tests, runs
 the prob tests of each entry that has `t` and the grade tests of each that has
@@ -98,9 +101,16 @@ def _check_target(table: NeighborhoodTable, target: FuzzySet) -> None:
 
 
 def _meet_sums(table: NeighborhoodTable, xs: tuple[int, ...]) -> tuple[int, ...]:
-    """sum(xs & N_x) per object: one lane meet-sum per distinct row, then broadcast."""
-    per_row = lanes.meet_sums(lanes.pack(xs), table.packed, len(xs))
-    return tuple(map(per_row.__getitem__, table.index))
+    """sum(xs & N_x) per object: one lane meet-sum per distinct row, then broadcast.
+
+    The first call for a vector walks the rows and stores the result in
+    `table.sums`; equal vectors have equal sums, so later calls read it back.
+    """
+    sums = table.sums.get(xs)
+    if sums is None:
+        per_row = lanes.meet_sums(lanes.pack(xs), table.packed, len(xs))
+        sums = table.sums[xs] = tuple(map(per_row.__getitem__, table.index))
+    return sums
 
 
 def overlap_sums(table: NeighborhoodTable, target: FuzzySet) -> tuple[int, ...]:
@@ -308,20 +318,25 @@ def threshold_form_check(
 
 
 def diagnostics(table: NeighborhoodTable, target: FuzzySet) -> list[dict[str, str]]:
-    """Per-object exact quantities for result files."""
+    """Per-object exact quantities for result files.
+
+    Every value depends only on the object's row, so each distinct row is
+    formatted once and shared by the objects that have it.
+    """
     ov = overlap_sums(table, target)
     res = mass_sums(table, target, ResidualMode.RESIDUAL)
     comp = mass_sums(table, target, ResidualMode.COMPLEMENT)
+    shared: dict[int, dict[str, str]] = {}
     out = []
-    for name, o, s, r, c in zip(table.universe.objects, ov, table.sigma, res, comp):
-        out.append(
-            {
-                "object": name,
+    rows = zip(table.universe.objects, table.index, ov, table.sigma, res, comp)
+    for name, j, o, s, r, c in rows:
+        if j not in shared:
+            shared[j] = {
                 "overlap": format_scaled(o),
                 "sigma": format_scaled(s),
                 "p": str(Fraction(o, s)),
                 "residual_mass": format_scaled(r),
                 "complement_mass": format_scaled(c),
             }
-        )
+        out.append({"object": name, **shared[j]})
     return out

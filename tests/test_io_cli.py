@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fuzzycover import cli, multi, operators, single, sysio
+from fuzzycover import cli, lanes, multi, operators, single, sysio
 from fuzzycover.exact import parse_scaled
 from fuzzycover.generate import generate_system
 from fuzzycover.model import ValidationError
@@ -949,6 +949,43 @@ class TestPackedRows:
         for table in tables:
             assert "distinct" not in vars(table)
             assert "rows" not in vars(table)
+
+
+
+class TestRowPasses:
+    # one (table, target vector) walks the table's rows once per command: the
+    # overlap pass of X, and the pass of 1 - X when a complement mass is read
+    # (diagnostics always print it; complement mode tests it)
+    @pytest.mark.parametrize("argv,passes", [
+        (("regions", "--op", "grade", "--k", "1", "--covering", "price"), 2),
+        (("regions", "--op", "grade", "--k", "1", "--covering", "price",
+          "--residual-mode", "complement"), 2),
+        (("approx", "--op", "grade", "--k", "1", "--covering", "price"), 2),
+        (("approx", "--op", "prob", "--alpha", "0.75", "--beta", "0.25",
+          "--covering", "price"), 2),
+        (("mg", "--op", "mg-dq1", "--alpha", "0.75", "--beta", "0.25", "--k", "1"), 2),
+        (("mg", "--op", "mg-dq1", "--alpha", "0.75", "--beta", "0.25", "--k", "1",
+          "--residual-mode", "complement"), 4),
+        (("sweep", "--op", "grade", "--k", "0:5:0.5", "--covering", "price",
+          "--residual-mode", "complement"), 2),
+        (("sweep", "--op", "prob", "--alpha", "0:1:0.2", "--beta", "0:1:0.2",
+          "--covering", "price"), 1),
+    ], ids=["regions", "regions-complement", "approx-grade", "approx-prob", "mg-dq1",
+            "mg-dq1-complement", "sweep-grade-complement", "sweep-prob"])
+    def test_one_row_pass_per_table_and_target(
+        self, capsys, monkeypatch, fixtures_dir, argv, passes
+    ):
+        calls = []
+        meet_sums = lanes.meet_sums
+        monkeypatch.setattr(
+            lanes, "meet_sums", lambda *a: calls.append(1) or meet_sums(*a)
+        )
+        path = str(fixtures_dir / "two_cov.json")
+        code, out, _ = run_cli(capsys, argv[0], path, *argv[1:], "--target", "X")
+        assert code == 0
+        if argv[0] == "sweep":  # header plus one line per point: 11 k values, 21 (alpha, beta)
+            assert len(out.splitlines()) == 1 + (11 if "grade" in argv else 21)
+        assert len(calls) == passes
 
 
 class TestCliGen:

@@ -60,13 +60,15 @@ def test_pack_unpack_round_trip_and_lane_sum(drawn):
 
 
 @settings(max_examples=300, deadline=None)
-@given(vectors(2))
+@given(vectors(3))
 def test_meet_is_the_pointwise_min(drawn):
-    n, (a, b) = drawn
+    n, (a, b, c) = drawn
     want = tuple(map(min, a, b))
-    assert lanes.unpack(lanes.meet(lanes.pack(a), lanes.pack(b), n), n) == want
-    assert lanes.unpack(lanes.meet(lanes.pack(b), lanes.pack(a), n), n) == want
-    assert lanes.meet(lanes.pack(a), lanes.pack(a), n) == lanes.pack(a)
+    assert lanes.unpack(lanes.meet((lanes.pack(a), lanes.pack(b)), n), n) == want
+    assert lanes.unpack(lanes.meet((lanes.pack(b), lanes.pack(a)), n), n) == want
+    assert lanes.meet((lanes.pack(a), lanes.pack(a)), n) == lanes.pack(a)
+    assert lanes.meet((lanes.pack(a),), n) == lanes.pack(a)
+    assert lanes.unpack(lanes.meet(map(lanes.pack, (a, b, c)), n), n) == tuple(map(min, a, b, c))
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,7 +87,7 @@ def test_extreme_lanes_at_every_position():
     alternating = tuple(MICRO * (j % 2) for j in range(n))
     for a in (top, zero, alternating):
         for b in (top, zero, alternating):
-            assert lanes.unpack(lanes.meet(lanes.pack(a), lanes.pack(b), n), n) == tuple(
+            assert lanes.unpack(lanes.meet((lanes.pack(a), lanes.pack(b)), n), n) == tuple(
                 map(min, a, b)
             )
     assert lanes.meet_sums(lanes.pack(top), [lanes.pack(top)], n) == [n * MICRO]

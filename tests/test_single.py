@@ -1,23 +1,34 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from fuzzycover import operators, single
-from fuzzycover.exact import parse_scaled
-from fuzzycover.model import FuzzySet, Grade, ParameterError, ThresholdPair
+from fuzzycover.exact import MICRO, parse_scaled
+from fuzzycover.model import (
+    ApproximationSpace,
+    FuzzyCovering,
+    FuzzySet,
+    Grade,
+    ParameterError,
+    ThresholdPair,
+    Universe,
+)
 from fuzzycover.single import (
     ResidualMode,
     cond_prob,
+    diagnostics,
     dq_conjunctive,
     dq_disjunctive,
     grade_approx,
     grade_regions,
     mass_sums,
+    overlap_sums,
     prob_approx,
     prob_regions,
     threshold_form_check,
 )
-from fuzzycover.neighborhood import build_table
+from fuzzycover.neighborhood import build_table, fuzzy_gamma_neighborhood
 
 from props import (
     suite_dq_decomposition,
@@ -267,3 +278,74 @@ def test_kernel_passes_bounded(monkeypatch, two_cov_file, family, mode):
         operators.run(family, build_table(system.space("price")), target, t, k, mode=mode)
         bound = KERNEL_PASSES[family][mode is ResidualMode.COMPLEMENT]
     assert 0 < len(calls) <= bound
+
+
+def test_stored_sums_equal_a_fresh_pass(price_space, target_x):
+    # a table keeps the sums of each target vector it has seen; whatever was
+    # read before, every read equals the naive per-object sum
+    universe = target_x.universe
+    rows = [fuzzy_gamma_neighborhood(price_space, x).memberships for x in universe.objects]
+
+    def naive(xs):
+        return tuple(sum(map(min, xs, row)) for row in rows)
+
+    other = FuzzySet(universe, tuple(reversed(target_x.memberships)))
+    equal = FuzzySet(universe, list(target_x.memberships))
+    assert equal.memberships is not target_x.memberships
+    reads = [
+        (kind, target)
+        for kind in ("overlap", *ResidualMode)
+        for target in (target_x, other, target_x.complement(), equal)
+    ]
+
+    def want(kind, target):
+        xs = target.memberships
+        if kind == "overlap":
+            return naive(xs)
+        if kind is ResidualMode.RESIDUAL:
+            return tuple(sum(row) - o for row, o in zip(rows, naive(xs)))
+        return naive(tuple(MICRO - v for v in xs))
+
+    rng = random.Random(0)
+    for order in range(20):
+        table = build_table(price_space)
+        if order:
+            rng.shuffle(reads)
+        for kind, target in reads:
+            got = (overlap_sums(table, target) if kind == "overlap"
+                   else mass_sums(table, target, kind))
+            assert got == want(kind, target)
+        # four distinct vectors: X, its reverse and the complement of each
+        assert len(table.sums) == 4
+
+
+def test_stored_sums_are_not_part_of_the_table(price_space, target_x):
+    filled, fresh = build_table(price_space), build_table(price_space)
+    overlap_sums(filled, target_x)
+    mass_sums(filled, target_x, ResidualMode.COMPLEMENT)
+    assert len(filled.sums) == 2 and not fresh.sums
+    assert filled == fresh
+    assert hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
+    assert "sums" not in repr(filled)
+
+
+def test_diagnostics_of_distinct_rows_with_equal_sigma():
+    # each distinct row is formatted once: two rows that share a sigma-count
+    # must still get their own values, in the documented key order
+    u = Universe(("x1", "x2", "x3", "x4"))
+    m1 = FuzzySet.from_strings(u, ("1", "0", "0.3", "0.7"))
+    m2 = FuzzySet.from_strings(u, ("0", "1", "0.7", "0.3"))
+    covering = FuzzyCovering("c", u, (("m1", m1), ("m2", m2)), parse_scaled("0.5"))
+    table = build_table(ApproximationSpace(u, covering))
+    target = FuzzySet.from_strings(u, ("1", "0", "0", "0"))
+    entries = diagnostics(table, target)
+    assert [list(e) for e in entries] == [
+        ["object", "overlap", "sigma", "p", "residual_mass", "complement_mass"]
+    ] * 4
+    assert [tuple(e.values()) for e in entries] == [
+        ("x1", "1", "2", "1/2", "1", "1"),
+        ("x2", "0", "2", "0", "2", "2"),
+        ("x3", "0", "2", "0", "2", "2"),
+        ("x4", "1", "2", "1/2", "1", "1"),
+    ]
