@@ -312,9 +312,10 @@ def _grid(param: str, spec: str) -> range:
     return range(start, stop + 1, step)
 
 
-def _name_list(names) -> str:
-    r"""Names joined by `;`, with `\` written `\\` and `;` written `\;` inside a name."""
-    return ";".join(n.replace("\\", "\\\\").replace(";", "\\;") for n in names)
+def _cell_names(universe) -> dict[str, str]:
+    r"""Each object's name as a sweep cell writes it, `\` as `\\` and `;` as `\;`,
+    so an unescaped `;` in a cell always separates two names."""
+    return {n: n.replace("\\", "\\\\").replace(";", "\\;") for n in universe.objects}
 
 
 def cmd_sweep(args) -> int:
@@ -330,6 +331,7 @@ def cmd_sweep(args) -> int:
         raise ParameterError(
             f"sweep grid has {shown} points, more than the limit of {MAX_SWEEP_POINTS}"
         )
+    cell = _cell_names(sf.universe).__getitem__  # escaped once per command, not per point
     rows = [[*grids, "lower", "upper", "n_lower", "n_upper"]]
     for point in itertools.product(*grids.values()):
         values = dict(zip(grids, point))
@@ -338,8 +340,8 @@ def cmd_sweep(args) -> int:
         r = operators.run(op, table, target, *_point(values), mode=mode)
         rows.append([
             *map(format_scaled, point),
-            _name_list(r.lower),
-            _name_list(r.upper),
+            ";".join(map(cell, r.lower)),
+            ";".join(map(cell, r.upper)),
             str(len(r.lower)),
             str(len(r.upper)),
         ])

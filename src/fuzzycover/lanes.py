@@ -7,8 +7,15 @@ the top bit of every lane is free to act as a guard: with it set in `a`,
 `a - b` cannot borrow across a lane, and the guard survives exactly in the
 lanes where a >= b.  Spreading that bit over the lane selects b there and a
 elsewhere, which is the pointwise min.  A meet of two rows is then a few
-big-int operations instead of one Python `min` per degree, and a lane sum is
-one C-level `sum` over an `array("I")` view of the bytes.  Nothing is
+big-int operations instead of one Python `min` per degree.
+
+A lane sum folds the int in halves: the high half of the lanes is shifted
+down and added onto the low half, one mask, one shift and one add on an int
+half as long each time, until one lane is left.  After k folds a lane holds
+at most 2^k degrees, so FOLDS = 12 folds are safe (2^12 * MICRO < 2^32) and
+no lane carries into the next.  A row wider than 2^FOLDS lanes keeps
+ceil(n / 2^FOLDS) lanes after the last safe fold; those are summed by a
+C-level `sum` over an `array("I")` view of the bytes.  Nothing is
 approximated: every result equals `map(min, ...)` and `sum` exactly.
 
 The layout rests on `array("I").itemsize == 4` and on MICRO < 2^31; tests
@@ -20,6 +27,11 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache
+
+from .exact import MICRO
+
+# folds before a lane could carry: after k folds a lane holds at most 2^k * MICRO
+FOLDS = ((2**32 - 1) // MICRO).bit_length() - 1
 
 
 def pack(xs) -> int:
@@ -34,7 +46,10 @@ def unpack(v: int, n: int) -> tuple[int, ...]:
 
 def lane_sum(v: int, n: int) -> int:
     """Sum of the n degrees packed in `v`."""
-    return sum(_lanes(v, n))
+    steps, left = _folds(n)
+    for shift, low in steps:
+        v = (v & low) + (v >> shift)
+    return v if left == 1 else sum(_lanes(v, left))
 
 
 def _lanes(v: int, n: int) -> array:
@@ -45,6 +60,16 @@ def _lanes(v: int, n: int) -> array:
 def _guard(n: int) -> int:
     """Bit 31 of each of n lanes; the same int in either byte order."""
     return int.from_bytes(b"\x80\0\0\0" * n, "big")
+
+
+@cache  # like _guard: the masks of one lane count, about 8n bytes
+def _folds(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The (shift, low-lane mask) of each fold of n lanes, and the lanes left."""
+    steps = []
+    while n > 1 and len(steps) < FOLDS:
+        n = (n + 1) // 2  # the low half keeps the odd lane
+        steps.append((32 * n, (1 << 32 * n) - 1))
+    return tuple(steps), n
 
 
 def _meet(a: int, b: int, guard: int) -> int:

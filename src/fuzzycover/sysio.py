@@ -118,15 +118,16 @@ def _degree(raw, where: str) -> int:
         raise _fail(where, str(e)) from None
 
 
-def _parse_degrees(raw, universe: Universe, where: str) -> FuzzySet:
+def _parse_degrees(raw, universe: Universe, where: str, scaled: dict[str, int]) -> FuzzySet:
+    """`raw` as a FuzzySet; `scaled` maps each spelling the file has parsed to its value."""
     if not isinstance(raw, list):
         raise _fail(where, "expected a list of degree strings")
     if len(raw) != universe.size:
         raise _fail(where, f"vector length {len(raw)} != universe size {universe.size}")
-    # a vector repeats a few spellings many times: parse each distinct one once
     if set(map(type, raw)) == {str}:  # set() needs hashable items; others fail below
         try:
-            scaled = {text: parse_degree(text) for text in set(raw)}
+            for text in set(raw).difference(scaled):
+                scaled[text] = parse_degree(text)
         except DecimalFormatError:
             pass  # the scan below reports the first bad position
         else:
@@ -134,13 +135,17 @@ def _parse_degrees(raw, universe: Universe, where: str) -> FuzzySet:
     return FuzzySet(universe, tuple(_degree(item, f"{where}[{j}]") for j, item in enumerate(raw)))
 
 
-def _parse_named_sets(raw, universe: Universe, where: str) -> list[tuple[str, FuzzySet]]:
+def _parse_named_sets(
+    raw, universe: Universe, where: str, scaled: dict[str, int]
+) -> list[tuple[str, FuzzySet]]:
     if not isinstance(raw, list):
         raise _fail(where, "expected a list of named membership vectors")
     out = []
     for i, entry in enumerate(raw):
         name = _need(entry, "name", str, f"{where}[{i}]")
-        degrees = _parse_degrees(entry.get("degrees"), universe, f"{where}[{i}].degrees")
+        degrees = _parse_degrees(
+            entry.get("degrees"), universe, f"{where}[{i}].degrees", scaled
+        )
         out.append((name, degrees))
     return out
 
@@ -191,12 +196,14 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
     for i, n in enumerate(universe.objects):
         _writable(n, f"{origin}.universe[{i}]")
 
+    # a file repeats a few degree spellings many times: each is parsed once
+    scaled: dict[str, int] = {}
     coverings: list[FuzzyCovering] = []
     for i, block in enumerate(_optional(doc, "coverings", list, origin)):
         where = f"{origin}.coverings[{i}]"
         name = _need(block, "name", str, where)
         gamma = _degree(block.get("gamma"), f"{where}.gamma")
-        members = _parse_named_sets(block.get("members"), universe, f"{where}.members")
+        members = _parse_named_sets(block.get("members"), universe, f"{where}.members", scaled)
         try:
             coverings.append(FuzzyCovering(name, universe, tuple(members), gamma))
         except StructuralError as e:
@@ -211,7 +218,7 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
         for j, rep in enumerate(raw_reports):
             expert = _need(rep, "expert", str, f"{where}.reports[{j}]")
             sets = _parse_named_sets(
-                rep.get("sets"), universe, f"{where}.reports[{j}].sets"
+                rep.get("sets"), universe, f"{where}.reports[{j}].sets", scaled
             )
             reports.append((expert, sets))
         try:
@@ -221,7 +228,7 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
 
     targets = {
         _writable(tname, f"{origin}.targets"): _parse_degrees(
-            raw, universe, f"{origin}.targets.{tname}"
+            raw, universe, f"{origin}.targets.{tname}", scaled
         )
         for tname, raw in _optional(doc, "targets", dict, origin).items()
     }

@@ -51,7 +51,9 @@ class TestLoad:
         (["0.5", ["x"], "bad", "1"], "X[1]", "got list"),
         (["0.5", "0.5", "2", {}], "X[2]", "degree out of [0, 1]: '2'"),
         (["0.5", "0.5", "0.5", 0.5], "X[3]", "got float"),
-    ], ids=["repeated-bad", "unhashable", "bad-before-unhashable", "number-last"])
+        (["1", "bad", "1", "1"], "X[1]", "not a decimal"),
+    ], ids=["repeated-bad", "unhashable", "bad-before-unhashable", "number-last",
+            "member-spelling-first"])
     def test_degree_error_names_the_first_bad_position(self, degrees, where, message):
         # each distinct spelling is parsed once, but errors still come in vector order
         doc = {
@@ -64,6 +66,24 @@ class TestLoad:
             sysio.loads(json.dumps(doc), origin="f")
         assert str(info.value).startswith(f"f.targets.{where}: ")
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("name", ["two_cov.json", "price_experts.json"])
+    def test_each_degree_spelling_is_parsed_once_per_file(self, monkeypatch, fixtures_dir, name):
+        path = fixtures_dir / name
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        blocks = doc.get("coverings", []) + doc.get("experts", [])
+        vectors = [m["degrees"] for c in doc.get("coverings", []) for m in c["members"]]
+        vectors += [s["degrees"] for e in doc.get("experts", []) for r in e["reports"]
+                    for s in r["sets"]]
+        vectors += list(doc["targets"].values())
+        spellings = {text for v in vectors for text in v}
+        assert len(vectors) > 1 and len(spellings) < sum(map(len, vectors))
+        calls = []
+        parse = sysio.parse_degree
+        monkeypatch.setattr(sysio, "parse_degree", lambda text: calls.append(text) or parse(text))
+        sysio.load(str(path))
+        # one parse per gamma, and one per distinct spelling in the whole file
+        assert len(calls) == len(blocks) + len(spellings)
 
     def test_rejects_wrong_vector_length(self, price_file):
         doc = json.loads(sysio.dumps(price_file))
@@ -1089,15 +1109,26 @@ class TestCliSweep:
         path = tmp_path / "semicolons.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run_cli(
-            capsys, "sweep", str(path), "--op", "grade", "--k", "0", "--target", "X",
+            capsys, "sweep", str(path), "--op", "grade", "--k", "0:2:1", "--target", "X",
         )
         assert code == 0
-        header, row = _csv_rows(out)
-        assert row == ["0", "a\\;b;a", "a\\;b;a;b;a\\\\", "2", "4"]
-        # splitting at each unescaped `;` and unescaping gives the names back
-        cells = dict(zip(header, row))
-        assert _split_names(cells["lower"]) == names[:2]
-        assert _split_names(cells["upper"]) == names
+        header, *rows = _csv_rows(out)
+        assert rows == [
+            ["0", "a\\;b;a", "a\\;b;a;b;a\\\\", "2", "4"],
+            ["1", "a\\;b;a;b;a\\\\", "a\\;b;a", "4", "2"],
+            ["2", "a\\;b;a;b;a\\\\", "", "4", "0"],
+        ]
+        # at every point, splitting at each unescaped `;` and unescaping gives
+        # back the names `approx` lists
+        for row in rows:
+            cells = dict(zip(header, row))
+            code, out, _ = run_cli(
+                capsys, "approx", str(path), "--op", "grade", "--k", cells["k"], "--target", "X",
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert _split_names(cells["lower"]) == doc["lower"]
+            assert _split_names(cells["upper"]) == doc["upper"]
 
     @pytest.mark.parametrize("grid,message", [
         ("0:1:0", "--k: grid step must be positive"),

@@ -3,13 +3,16 @@
 Every lane result must equal `map(min, ...)` and `sum` exactly, at the
 extremes of a degree (0 and MICRO), on equal lanes, at n = 1, odd n and n up
 to a few hundred.  The lane layout rests on a 4-byte `array("I")` item and on
-MICRO < 2^31; those are checked here rather than at import time.
+MICRO < 2^31; those are checked here rather than at import time.  The lane
+sum's fold stops after `lanes.FOLDS` halvings, when 2^FOLDS lanes of MICRO
+have met in one lane; the widths around that cap are checked on their own.
 """
 
 import random
 import sys
 from array import array
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzycover import lanes
@@ -91,3 +94,32 @@ def test_extreme_lanes_at_every_position():
                 map(min, a, b)
             )
     assert lanes.meet_sums(lanes.pack(top), [lanes.pack(top)], n) == [n * MICRO]
+
+
+def test_fold_count_is_the_most_that_cannot_carry():
+    assert 2**lanes.FOLDS * MICRO < 2**32 <= 2 ** (lanes.FOLDS + 1) * MICRO
+
+
+# widths at and past multiples of 2^FOLDS = 4096: from 4097 lanes on some lanes
+# are left after the last fold, and a fold past the cap carries from 8193 on
+WIDE = (4096, 4097, 8192, 8193, 12288, 16384, 20000)
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_lane_sum_of_wide_rows(n):
+    rng = random.Random(n)
+    for xs in ((MICRO,) * n, tuple(rng.randint(0, MICRO) for _ in range(n))):
+        assert lanes.lane_sum(lanes.pack(xs), n) == sum(xs)
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_meet_sums_of_wide_rows(n):
+    rng = random.Random(n)
+    top = (MICRO,) * n
+    x = tuple(rng.choice(EXTREMES) if rng.random() < 0.5 else rng.randint(0, MICRO)
+              for _ in range(n))
+    rows = [top, x, tuple(rng.randint(0, MICRO) for _ in range(n))]
+    got = lanes.meet_sums(lanes.pack(top), [lanes.pack(r) for r in rows], n)
+    assert got == [sum(r) for r in rows]
+    got = lanes.meet_sums(lanes.pack(x), [lanes.pack(r) for r in rows], n)
+    assert got == [sum(map(min, x, r)) for r in rows]

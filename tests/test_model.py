@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,6 +89,22 @@ class TestFuzzySetAlgebra:
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
             FuzzySet(U8, (0,) * 7)
+
+    @pytest.mark.parametrize("bad,named", [
+        ((0.5,), "0.5"),
+        ((-1,), "-1"),
+        ((MICRO + 1,), str(MICRO + 1)),
+        ((MICRO, 7, -3, 0.25, -9, MICRO + 1), "-3"),  # the first, not the least or largest
+        ((1, MICRO + 2, 0.5, -1), str(MICRO + 2)),
+        ((0, "1", -1), "'1'"),
+    ])
+    def test_membership_out_of_range_names_the_first_bad_value(self, bad, named):
+        message = f"^membership out of range: {re.escape(named)}$"
+        with pytest.raises(StructuralError, match=message):
+            FuzzySet(U8, (0,) * (8 - len(bad)) + bad)
+
+    def test_bool_degrees_stay_accepted(self):
+        assert FuzzySet(U8, (True, False) * 4).memberships == (True, False) * 4
 
 
 vectors = st.lists(
