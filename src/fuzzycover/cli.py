@@ -23,9 +23,8 @@ import os
 import sys
 import tempfile
 
-from . import checks, operators, sysio
+from . import operators, sysio
 from .exact import DecimalFormatError, format_scaled, parse_degree, parse_scaled
-from .generate import generate_system
 from .model import (
     Grade,
     ParameterError,
@@ -66,6 +65,9 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on its own; route flag problems to exit 4
     def error(self, message):
         raise ParameterError(message)
+
+    def print_help(self, file=None):  # argparse drops a failed write; `main` must see it
+        print(self.format_help(), end="", file=file, flush=True)
 
 
 def _out_path(text: str) -> str:
@@ -174,8 +176,7 @@ def _emit_result(args, sf: sysio.SystemFile, result, **fields) -> None:
 def cmd_validate(args) -> int:
     sf_doc = sysio.load(args.path)  # raises ValidationError if any covering fails
     for covering in sf_doc.system.coverings:
-        report = validate_covering(covering)
-        print(report.describe())
+        print(validate_covering(covering).describe())
     print("ok")
     return EXIT_OK
 
@@ -203,22 +204,12 @@ def cmd_neigh(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    sf, op, target, mode = _setup(args, SINGLE_OPS)
+    """`approx`, and `regions`, which adds the decision regions of the same point."""
+    sf, op, target, mode = _setup(args, SINGLE_OPS)  # REGION_OPS maps as SINGLE_OPS does
     table = build_table(sf.system.space(args.covering))
     t, k = _point(_given(op, _flags(args, _parse)))
-    _emit_result(
-        args, sf, operators.run(op, table, target, t, k, mode=mode),
-        covering=table.space.covering.name,
-        diagnostics=diagnostics(table, target),
-    )
-    return EXIT_OK
-
-
-def cmd_regions(args) -> int:
-    sf, op, target, mode = _setup(args, REGION_OPS)
-    table = build_table(sf.system.space(args.covering))
-    t, k = _point(_given(op, _flags(args, _parse)))
-    partition = operators.run(f"{op}-regions", table, target, t, k, mode=mode)
+    regions = args.command == "regions"
+    partition = operators.run(f"{op}-regions", table, target, t, k, mode=mode) if regions else None
     _emit_result(
         args, sf, operators.run(op, table, target, t, k, mode=mode),
         covering=table.space.covering.name,
@@ -268,6 +259,7 @@ RANDOM_COUNT = 1000  # instances of `check --random` without --count
 
 
 def cmd_check(args) -> int:
+    from . import checks  # imports the oracle, which no other command needs
     if args.random:
         report = checks.run_random(seed=args.seed, count=args.count or RANDOM_COUNT)
     else:
@@ -275,17 +267,15 @@ def cmd_check(args) -> int:
             raise ParameterError("--count applies to --random only")
         report = checks.run_file(sysio.load(args.path), seed=args.seed)
     print(report.describe())
-    if not report.ok:
-        print("differential check FAILED")
-        return EXIT_CHECK
-    print("differential check ok")
-    return EXIT_OK
+    print("differential check ok" if report.ok else "differential check FAILED")
+    return EXIT_OK if report.ok else EXIT_CHECK
 
 
 def cmd_gen(args) -> int:
     gamma = _parse("gamma", args.gamma)
     if gamma == 0:
         raise ParameterError("--gamma must be positive")
+    from .generate import generate_system  # only `gen` writes a system
     sf = generate_system(args.n, args.m, args.members, gamma, args.seed)
     _emit(sysio.dumps(sf), args.out)
     return EXIT_OK
@@ -349,13 +339,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _result_parser(sub, name: str, func, help: str, ops: dict, fused=False, fmt=True):
+def _result_args(p, ops: dict, fused=False, fmt=True):
     """A result subcommand: --op from `ops`, the parameter flags, and --format if it writes one.
 
     A fused (mg) command reads every covering, so it has no --covering, and
     takes each parameter as a scalar or as a per-covering list, not both.
     """
-    p = sub.add_parser(name, help=help)
     p.add_argument("path")
     p.add_argument("--op", required=True, choices=ops, help="operator id")
     p.add_argument("--target", required=True, help="target fuzzy set name from the file")
@@ -379,60 +368,71 @@ def _result_parser(sub, name: str, func, help: str, ops: dict, fused=False, fmt=
     if fmt:
         p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=_out_path, help="write output to a file instead of stdout")
-    p.set_defaults(func=func)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fuzzycover",
-        description="Exact lower/upper approximations over fuzzy gamma-covering spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the covering conditions of a system file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("neigh", help="dump per-object neighborhoods and sigma-counts")
+def _neigh_args(p):
     p.add_argument("path")
     p.add_argument("--covering")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=_out_path)
-    p.set_defaults(func=cmd_neigh)
 
-    _result_parser(sub, "approx", cmd_approx, "lower/upper approximation of a target", SINGLE_OPS)
-    _result_parser(sub, "regions", cmd_regions, "three-way / five-way decision regions",
-                   REGION_OPS)
-    _result_parser(sub, "mg", cmd_mg, "multi-granulation fused approximations", MG_OPS,
-                   fused=True)
 
-    p = sub.add_parser("check", help="differential check against the brute-force path")
+def _check_args(p):
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("path", nargs="?")
     source.add_argument("--random", action="store_true", help="run on random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive, help=f"random instances (default {RANDOM_COUNT})")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("gen", help="generate a random valid system file")
+
+def _gen_args(p):
     p.add_argument("--n", type=_positive, required=True, help="universe size")
     p.add_argument("--m", type=_positive, default=1, help="number of coverings")
     p.add_argument("--members", type=_positive, default=3, help="members per covering")
     p.add_argument("--gamma", required=True, help="covering threshold, e.g. 0.9")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=_out_path)
-    p.set_defaults(func=cmd_gen)
 
-    _result_parser(sub, "sweep", cmd_sweep,
-                   "evaluate an operator over start:stop:step grids (CSV)", SINGLE_OPS, fmt=False)
 
+# subcommand -> (help, handler, function adding its arguments), in the order --help lists them
+SUBCOMMANDS = {
+    "validate": ("check the covering conditions of a system file", cmd_validate,
+                 lambda p: p.add_argument("path")),
+    "neigh": ("dump per-object neighborhoods and sigma-counts", cmd_neigh, _neigh_args),
+    "approx": ("lower/upper approximation of a target", cmd_approx,
+               lambda p: _result_args(p, SINGLE_OPS)),
+    "regions": ("three-way / five-way decision regions", cmd_approx,
+                lambda p: _result_args(p, REGION_OPS)),
+    "mg": ("multi-granulation fused approximations", cmd_mg,
+           lambda p: _result_args(p, MG_OPS, fused=True)),
+    "check": ("differential check against the brute-force path", cmd_check, _check_args),
+    "gen": ("generate a random valid system file", cmd_gen, _gen_args),
+    "sweep": ("evaluate an operator over start:stop:step grids (CSV)", cmd_sweep,
+              lambda p: _result_args(p, SINGLE_OPS, fmt=False)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone when it names a subcommand, else of all eight.
+
+    `main` passes its first argument: all eight cost more than a small command's
+    own work, and help or an unknown name still sees every one."""
+    parser = _Parser(
+        prog="fuzzycover",
+        description="Exact lower/upper approximations over fuzzy gamma-covering spaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in SUBCOMMANDS else SUBCOMMANDS:
+        help, func, add_args = SUBCOMMANDS[name]
+        add_args(p := sub.add_parser(name, help=help))
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code

@@ -6,7 +6,9 @@ modules it may import only the shared data types.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import fuzzycover
@@ -49,3 +51,18 @@ def test_package_imports_only_stdlib_and_itself():
 def test_oracle_imports_only_data_types():
     _, own = _imports(PACKAGE_DIR / "oracle.py")
     assert own <= ORACLE_ALLOWED, f"oracle.py imports {sorted(own - ORACLE_ALLOWED)}"
+
+
+def test_cli_import_leaves_out_check_and_gen_modules():
+    # every command start compiles what `import fuzzycover.cli` pulls in
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
+    )}
+    script = (
+        "import sys, fuzzycover.cli\n"
+        "print(*(m for m in ('checks', 'oracle', 'generate') if 'fuzzycover.' + m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -1251,10 +1252,60 @@ class TestCliCheck:
         assert err.startswith("parameter error: --count applies to --random only")
 
 
+def _main_outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one `cli.main` call, --help's SystemExit included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SUBCOMMANDS = ["validate", "neigh", "approx", "regions", "mg", "check", "gen", "sweep"]
+
+
+class TestCliParser:
+    """`main` builds only the subcommand its first argument names."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["nope"],
+        *([name, "--help"] for name in SUBCOMMANDS),
+        ["approx"], ["mg", "x", "--op", "bad"],
+    ], ids=" ".join)
+    def test_same_bytes_as_the_whole_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        one = _main_outcome(capsys, argv)
+        whole = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+        assert one == _main_outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv,built", [
+        *(([name, "--help"], 1) for name in SUBCOMMANDS),
+        (["--help"], len(SUBCOMMANDS)),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_subparsers_built_per_command(self, capsys, monkeypatch, argv, built):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(
+            argparse._SubParsersAction, "add_parser",
+            lambda self, name, **kw: calls.append(name) or add_parser(self, name, **kw),
+        )
+        _main_outcome(capsys, argv)
+        assert len(calls) == built
+
+    def test_whole_tree_without_a_command(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == SUBCOMMANDS
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize("argv", [
     ["check", "two_cov.json"],
     ["gen", "--n", "50", "--gamma", "0.9"],
+    ["--help"],
+    ["approx", "--help"],
 ])
 def test_closed_stdout_exits_quietly(fixtures_dir, argv, buffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
