@@ -37,13 +37,20 @@ A result file is one document: `result_document` builds it from the result
 (`covering` or `coverings`, `target`, `residual_mode`, `regions`,
 `diagnostics`), and `render_json` or `render_result_csv` writes that
 document as it is.
+
+Byte contract: `render_json(doc)` is exactly `json.dumps(doc, indent=2,
+sort_keys=True, ensure_ascii=False) + "\n"`, and `dumps` is the same without
+`sort_keys`; one writer (`_json_text`) produces both without json's
+pure-Python encoder, which `indent` would select.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from .exact import DecimalFormatError, format_scaled, parse_degree
@@ -269,7 +276,7 @@ def dumps(sf: SystemFile) -> str:
             name: list(s.degree_strings()) for name, s in sf.targets.items()
         },
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _json_text(doc, sort=False)
 
 
 def dump(sf: SystemFile, path: str) -> None:
@@ -295,26 +302,144 @@ def result_document(result, covering=None, coverings=None, target=None,
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _json_text(doc, sort=True)
+
+
+# the C escaper that json.dumps itself calls with ensure_ascii=False
+_escape = json.encoder.encode_basestring
+
+
+def _json_text(doc, sort: bool) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=sort, ensure_ascii=False) + "\n"`, byte
+    for byte, for a document of str, list and dict with str keys; any other
+    type raises TypeError.
+
+    json.dumps takes its C encoder only without `indent`, so this writer joins
+    chunks itself, with C calls where it can:
+    - a list of strings, or a dict whose values are all strings, is one join;
+    - a flat dict inside a list whose `object` is a string (a diagnostics
+      entry) is rendered once per depth and tuple of its keys and other values,
+      as the text before and after its `object` value, cut at the position of
+      that key, and each such dict splices its escaped name in between;
+    - a list met again at the same depth (`neigh` shares one degree list among
+      the objects of a row) repeats the chunks of its first rendering.
+    Every chunk goes into one list, joined once at the end.
+    """
+    out: list[str] = []
+    shown: dict = {}  # (id(list), depth) -> (start, stop) of its chunks in out
+    templates: dict = {}  # (depth, keys, other values) -> (before, after)
+
+    def pad(depth: int) -> str:
+        return "\n" + "  " * depth
+
+    def put(o, depth: int) -> None:
+        if isinstance(o, str):
+            out.append(_escape(o))
+        elif isinstance(o, list):
+            put_list(o, depth)
+        elif isinstance(o, dict):
+            put_dict(o, depth)
+        else:
+            raise TypeError(f"a JSON document holds str, list and dict, not {type(o).__name__}")
+
+    def put_list(o: list, depth: int) -> None:
+        if not o:
+            out.append("[]")
+            return
+        key = (id(o), depth)  # the document holds o, so its id is not reused during the call
+        if key in shown:
+            start, stop = shown[key]
+            out.extend(out[start:stop])
+            return
+        start, inner = len(out), pad(depth + 1)
+        sep = "," + inner
+        try:
+            out.extend(("[", inner, sep.join(map(_escape, o)), pad(depth), "]"))
+        except TypeError:  # not all strings
+            out.append("[")
+            lead = inner
+            for item in o:
+                out.append(lead)
+                lead = sep
+                if type(item) is dict and type(item.get("object")) is str:
+                    rest = item.copy()
+                    name = rest.pop("object")
+                    shape = (depth + 1, tuple(item), tuple(rest.values()))
+                    try:
+                        cut = templates[shape]
+                    except KeyError:
+                        cut = templates[shape] = template(item, depth + 1)
+                    except TypeError:  # a list or dict inside: not flat, rendered below
+                        cut = None
+                    if cut is not None:
+                        out.extend((cut[0], _escape(name), cut[1]))
+                        continue
+                put(item, depth + 1)
+            out.extend((pad(depth), "]"))
+        shown[key] = (start, len(out))
+
+    def template(d: dict, depth: int):
+        """The text of flat dict `d` before and after its `object` value."""
+        keys = sorted(d) if sort else list(d)
+        texts = [_escape(k) + ": " + ("" if k == "object" else _escape(d[k])) for k in keys]
+        cut = keys.index("object") + 1
+        inner, sep = pad(depth + 1), "," + pad(depth + 1)
+        return (
+            "{" + inner + sep.join(texts[:cut]),
+            "".join(sep + text for text in texts[cut:]) + pad(depth) + "}",
+        )
+
+    def put_dict(o: dict, depth: int) -> None:
+        if not o:
+            out.append("{}")
+            return
+        keys = sorted(o) if sort else list(o)
+        values = list(map(o.__getitem__, keys))
+        inner = pad(depth + 1)
+        sep = "," + inner
+        try:
+            pairs = map(": ".join, zip(map(_escape, keys), map(_escape, values)))
+            out.extend(("{", inner, sep.join(pairs), pad(depth), "}"))
+        except TypeError:  # not all strings
+            out.append("{")
+            lead = inner
+            for k, v in zip(keys, values):
+                out.extend((lead, _escape(k), ": "))
+                lead = sep
+                put(v, depth + 1)
+            out.extend((pad(depth), "}"))
+
+    put(doc, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_result_csv(doc: dict, universe: Universe) -> str:
     """Flat per-object view of a result document, one row per object in universe order.
 
     The diagnostics entries are listed in universe order too; their columns are
-    the keys of an entry, every key but `object`.
+    the keys of an entry, every key but `object`.  The table is built by
+    columns, each one a C-level `map` over the objects.
     """
-    lower, upper = set(doc["lower"]), set(doc["upper"])
-    regions = {label: set(names) for label, names in doc.get("regions", {}).items()}
+    objects = universe.objects
+    bit = ("0", "1").__getitem__
     entries = doc.get("diagnostics", [])
     columns = [key for key in entries[0] if key != "object"] if entries else []
-    rows = [["object", "in_lower", "in_upper", *(["regions"] if regions else []), *columns]]
-    for i, name in enumerate(universe.objects):
-        row = [name, str(int(name in lower)), str(int(name in upper))]
-        if regions:
-            row.append("|".join(label for label, names in regions.items() if name in names))
-        rows.append(row + [entries[i][key] for key in columns])
-    return render_csv(rows)
+    cols = [
+        objects,
+        map(bit, map(set(doc["lower"]).__contains__, objects)),
+        map(bit, map(set(doc["upper"]).__contains__, objects)),
+    ]
+    regions = doc.get("regions", {})
+    if regions:
+        labels: dict[str, str] = {}  # name -> its labels in region order, "|"-joined
+        for label, names in regions.items():
+            for name in set(names):
+                labels[name] = labels[name] + "|" + label if name in labels else label
+        cols.append(map(labels.get, objects, itertools.repeat("")))
+    cols += (map(operator.itemgetter(key), entries) for key in columns)
+    header = ["object", "in_lower", "in_upper", *(["regions"] if regions else []), *columns]
+    return render_csv([header, *zip(*cols)])
 
 
 def render_csv(rows) -> str:
