@@ -83,7 +83,7 @@ def _pick_thresholds_for(
 
 
 def _pick_grade_for(rng: random.Random, table, target: FuzzySet) -> Grade:
-    n = len(table.sigma)
+    n = table.universe.size
     candidates = [0, MICRO // 2, MICRO, 2 * MICRO, n * MICRO]
     candidates.append(rng.randrange(0, (n + 1) * MICRO + 1, 100_000))
     if rng.random() < 0.6:

@@ -145,7 +145,10 @@ class FuzzySet:
         )
 
     def degree_strings(self) -> tuple[str, ...]:
-        return tuple(format_scaled(v) for v in self.memberships)
+        """Each degree as a decimal string; each distinct value is formatted once."""
+        ms = self.memberships
+        text = {v: format_scaled(v) for v in set(ms)}
+        return tuple(map(text.__getitem__, ms))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ it costs O(n * members + n * d * members) instead of O(n^2 * members), and
 operators evaluate each distinct row once.  Each row is stored packed, one
 int with a 32-bit lane per degree (`lanes`), and every meet, here and in the
 operators, is the exact lane meet.  A table also keeps the per-object sums
-of each target vector it has been evaluated against (`sums`), so a command
-walks the rows at most once per target vector.  The integer vectors
+of each target vector it has been evaluated against (`sums`), filled by
+`single._meet_sums`, the one function that walks the rows, so a command
+walks them at most once per target vector.  The integer vectors
 (`distinct`) and the per-object `sigma` and `rows` are views built on first
 use.  A minimum of valid degrees is a valid degree, so fuzzy sets are
-validated where they enter the package and where a neighborhood leaves it,
-not per table row.
+validated where they enter the package and where a neighborhood leaves it
+(`rows`, `fuzzy_gamma_neighborhood`), not per table row.
 """
 
 from __future__ import annotations
@@ -34,13 +35,15 @@ from .model import ApproximationSpace, FuzzySet, StructuralError
 class NeighborhoodTable:
     """Distinct neighborhoods and sigma-counts for one covering.
 
-    `packed[index[i]]` is the i-th object's neighborhood as packed lanes,
-    `distinct[index[i]]` the same row as an integer vector and
-    `distinct_sigma[index[i]]` its sigma-count.  `sigma` and `rows` give the
-    same values per object; `rows` shares one FuzzySet per distinct row.
-    `sums[xs]` is sum(xs & N_x) per object for each target vector `xs` the
-    table has been evaluated against (`single._meet_sums` fills it); it is
-    derived data, so it takes no part in equality, hashing or the repr.
+    `packed[index[i]]` is the i-th object's neighborhood as packed lanes and
+    `distinct_sigma[index[i]]` its sigma-count.  Three views are built on
+    first use: `distinct`, each row as an integer vector (what `neigh`
+    prints); `sigma`, the sigma-count per object (what the operators compare
+    against); and `rows`, the neighborhood per object as a FuzzySet, one
+    shared per distinct row.  `sums[xs]` is sum(xs & N_x) per object for
+    each target vector `xs` the table has been evaluated against
+    (`single._meet_sums` fills it); it is derived data, so it takes no part
+    in equality, hashing or the repr.
     """
 
     space: ApproximationSpace
@@ -68,9 +71,6 @@ class NeighborhoodTable:
         shared = [FuzzySet(self.universe, row) for row in self.distinct]
         return tuple(map(shared.__getitem__, self.index))
 
-    def row(self, name: str) -> FuzzySet:
-        return self.rows[self.universe.index(name)]
-
 
 def _vectors(space: ApproximationSpace) -> tuple[tuple[int, ...], ...]:
     return tuple(s.memberships for s in space.covering.member_sets)
@@ -79,12 +79,6 @@ def _vectors(space: ApproximationSpace) -> tuple[tuple[int, ...], ...]:
 def _signature(vectors: tuple[tuple[int, ...], ...], gamma: int, index: int) -> tuple[int, ...]:
     """Positions of the covering members whose degree at the object reaches gamma."""
     return tuple(j for j, v in enumerate(vectors) if v[index] >= gamma)
-
-
-def _meet(packed, signature: tuple[int, ...], n: int) -> int:
-    """Lane meet of the packed member rows at the signature's positions."""
-    # the covering condition guarantees the signature is non-empty
-    return lanes.meet(map(packed.__getitem__, signature), n)
 
 
 def qualifying_members(space: ApproximationSpace, index: int) -> tuple[str, ...]:
@@ -97,7 +91,7 @@ def fuzzy_gamma_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
     """Pointwise min of all members with degree >= gamma at the object."""
     vectors, n = _vectors(space), space.universe.size
     signature = _signature(vectors, space.covering.gamma, space.universe.index(name))
-    row = _meet(tuple(map(lanes.pack, vectors)), signature, n)
+    row = lanes.meet((lanes.pack(vectors[j]) for j in signature), n)
     return FuzzySet(space.universe, lanes.unpack(row, n))
 
 
@@ -117,5 +111,6 @@ def build_table(space: ApproximationSpace) -> NeighborhoodTable:
         for i in range(n)
     )
     members = tuple(map(lanes.pack, vectors))
-    packed = tuple(_meet(members, signature, n) for signature in slots)
+    # the covering condition guarantees every signature is non-empty
+    packed = tuple(lanes.meet(map(members.__getitem__, signature), n) for signature in slots)
     return NeighborhoodTable(space, packed, tuple(lanes.lane_sum(row, n) for row in packed), index)

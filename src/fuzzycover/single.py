@@ -105,6 +105,7 @@ def _meet_sums(table: NeighborhoodTable, xs: tuple[int, ...]) -> tuple[int, ...]
 
     The first call for a vector walks the rows and stores the result in
     `table.sums`; equal vectors have equal sums, so later calls read it back.
+    This is the package's one row pass: every overlap, mass and P reads it.
     """
     sums = table.sums.get(xs)
     if sums is None:
@@ -127,16 +128,14 @@ def mass_sums(
     if mode is ResidualMode.RESIDUAL:
         ov = overlap_sums(table, target)
         return tuple(s - o for s, o in zip(table.sigma, ov))
-    return _meet_sums(table, target.complement().memberships)
+    return _meet_sums(table, tuple(MICRO - v for v in target.memberships))
 
 
 def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str) -> Fraction:
     """Exact conditional probability of the target given the neighborhood of x."""
-    _check_target(table, target)
-    i = table.index[table.universe.index(name)]
-    xs = target.memberships
-    (num,) = lanes.meet_sums(lanes.pack(xs), (table.packed[i],), len(xs))
-    return Fraction(num, table.distinct_sigma[i])
+    ov = overlap_sums(table, target)
+    i = table.universe.index(name)
+    return Fraction(ov[i], table.distinct_sigma[table.index[i]])
 
 
 def flags(

@@ -13,7 +13,7 @@ import pytest
 from fuzzycover import cli, lanes, multi, operators, single, sysio
 from fuzzycover.exact import parse_scaled
 from fuzzycover.generate import generate_system
-from fuzzycover.model import ValidationError
+from fuzzycover.model import FuzzySet, ValidationError
 from fuzzycover.neighborhood import build_table
 
 
@@ -941,7 +941,7 @@ class TestCliNeigh:
             rows = {r[1]: r[2:-1] for r in _csv_rows(out)[1:]}
         assert sorted(rows) == sorted(sf.universe.objects)
         for obj, row in rows.items():
-            assert tuple(row) == table.row(obj).degree_strings()
+            assert tuple(row) == table.rows[sf.universe.index(obj)].degree_strings()
 
 
 class TestPackedRows:
@@ -1007,6 +1007,30 @@ class TestRowPasses:
         if argv[0] == "sweep":  # header plus one line per point: 11 k values, 21 (alpha, beta)
             assert len(out.splitlines()) == 1 + (11 if "grade" in argv else 21)
         assert len(calls) == passes
+
+    @pytest.mark.parametrize("argv", [
+        ("regions", "--op", "grade", "--k", "1", "--residual-mode", "complement"),
+        ("approx", "--op", "grade", "--k", "1"),
+        ("sweep", "--op", "grade", "--k", "0:5:0.5", "--residual-mode", "complement"),
+    ], ids=["regions-complement", "approx-grade", "sweep-grade-complement"])
+    def test_complement_mass_builds_no_fuzzy_set(self, capsys, monkeypatch, fixtures_dir, argv):
+        # 1 - X is a plain vector keyed into the table's sums store; the only
+        # FuzzySets a command builds are the ones loading the file builds
+        path = str(fixtures_dir / "two_cov.json")
+        built, validate = [], FuzzySet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(FuzzySet, "__post_init__", counting)
+        sysio.load(path)
+        assert len(built) == 7
+        built.clear()
+        code, _, _ = run_cli(capsys, argv[0], path, *argv[1:], "--covering", "price",
+                             "--target", "X")
+        assert code == 0
+        assert len(built) == 7
 
 
 class TestCliGen:

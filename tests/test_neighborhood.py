@@ -71,8 +71,8 @@ class TestTable:
         )
 
     def test_rows_match_pointwise_computation(self, price_space, price_table):
-        for name in price_space.universe.objects:
-            assert price_table.row(name) == fuzzy_gamma_neighborhood(price_space, name)
+        for name, row in zip(price_space.universe.objects, price_table.rows, strict=True):
+            assert row == fuzzy_gamma_neighborhood(price_space, name)
 
     def test_self_membership_at_least_gamma(self, price_table, price_space):
         gamma = price_space.covering.gamma
@@ -82,8 +82,8 @@ class TestTable:
 
     def test_crisp_gamma_one_reduces(self, crisp_space):
         table = build_table(crisp_space)
-        for name in crisp_space.universe.objects:
-            assert table.row(name) == crisp_neighborhood(crisp_space, name)
+        for name, row in zip(crisp_space.universe.objects, table.rows, strict=True):
+            assert row == crisp_neighborhood(crisp_space, name)
 
     def test_repr_of_a_wide_table(self):
         # a packed row of 600 lanes has more decimal digits than int-to-str allows
@@ -113,8 +113,8 @@ class TestTable:
                 assert type(row) is tuple
                 assert all(type(v) is int for v in row)
             for i, name in enumerate(space.universe.objects):
-                assert table.row(name) == fuzzy_gamma_neighborhood(space, name)
-                assert table.sigma[i] == table.row(name).sigma_count()
+                assert table.rows[i] == fuzzy_gamma_neighborhood(space, name)
+                assert table.sigma[i] == table.rows[i].sigma_count()
 
 
 def test_property_suite():

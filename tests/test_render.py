@@ -14,8 +14,8 @@ import tracemalloc
 
 import pytest
 
-from fuzzycover import cli, sysio
-from fuzzycover.exact import parse_scaled
+from fuzzycover import cli, model, sysio
+from fuzzycover.exact import format_scaled, parse_scaled
 from fuzzycover.generate import generate_system
 from fuzzycover.model import Universe
 
@@ -134,6 +134,25 @@ def test_dumps_keeps_key_order(fixtures_dir):
         assert text == ordered_json(json.loads(text))
     text = sysio.dumps(generate_system(60, 2, 4, parse_scaled("0.6"), 1))
     assert text == ordered_json(json.loads(text))
+
+
+def test_dumps_formats_each_distinct_degree_once(monkeypatch, fixtures_dir):
+    files = [sysio.load(str(path)) for path in sorted(fixtures_dir.glob("*.json"))]
+    files.append(generate_system(250, 3, 16, parse_scaled("0.9"), 0))
+    # the per-position formatting degree_strings replaced, as the byte reference
+    monkeypatch.setattr(model.FuzzySet, "degree_strings",
+                        lambda s: tuple(map(format_scaled, s.memberships)))
+    expected = [sysio.dumps(sf) for sf in files]
+    monkeypatch.undo()
+    calls, fmt = [], model.format_scaled
+    monkeypatch.setattr(model, "format_scaled", lambda v: calls.append(v) or fmt(v))
+    assert [sysio.dumps(sf) for sf in files] == expected
+    for sf in files:
+        members = [s for c in sf.system.coverings for s in c.member_sets]
+        for vector in [*members, *sf.targets.values()]:
+            calls.clear()
+            assert vector.degree_strings() == tuple(map(fmt, vector.memberships))
+            assert sorted(calls) == sorted(set(vector.memberships))
 
 
 def reference_result_csv(doc: dict, universe: Universe) -> str:

@@ -28,6 +28,7 @@ from fuzzycover.single import (
     prob_regions,
     threshold_form_check,
 )
+from fuzzycover.generate import generate_system
 from fuzzycover.neighborhood import build_table, fuzzy_gamma_neighborhood
 
 from props import (
@@ -349,3 +350,36 @@ def test_diagnostics_of_distinct_rows_with_equal_sigma():
         ("x3", "0", "2", "0", "2", "2"),
         ("x4", "1", "2", "1/2", "1", "1"),
     ]
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_sums_at_the_lane_fold_edges(n):
+    # a lane sum folds 2^FOLDS = 4096 lanes at most, so rows wider than that
+    # keep lanes after the last fold; both targets go through one table, so
+    # its sums store holds four vectors (X, Y and their complements)
+    sf = generate_system(n, 1, 3, 900_000, 0)
+    space = sf.system.space()
+    table = build_table(space)
+    vectors = [s.memberships for s in space.covering.member_sets]
+    gamma = space.covering.gamma
+    signatures = [tuple(j for j, v in enumerate(vectors) if v[i] >= gamma) for i in range(n)]
+    rows = {sig: tuple(map(min, zip(*(vectors[j] for j in sig)))) for sig in set(signatures)}
+    sigma = [sum(rows[sig]) for sig in signatures]
+    assert len(sf.targets) == 2
+    for target in sf.targets.values():
+        xs = target.memberships
+        complement = tuple(MICRO - v for v in xs)
+        ov_row = {sig: sum(map(min, xs, row)) for sig, row in rows.items()}
+        comp_row = {sig: sum(map(min, complement, row)) for sig, row in rows.items()}
+        overlap = [ov_row[sig] for sig in signatures]
+        assert overlap_sums(table, target) == tuple(overlap)
+        assert mass_sums(table, target, ResidualMode.RESIDUAL) == tuple(
+            s - o for s, o in zip(sigma, overlap)
+        )
+        assert mass_sums(table, target, ResidualMode.COMPLEMENT) == tuple(
+            comp_row[sig] for sig in signatures
+        )
+        for i in (0, n // 2, n - 1):
+            name = space.universe.objects[i]
+            assert cond_prob(table, target, name) == Fraction(overlap[i], sigma[i])
+    assert len(table.sums) == 4

@@ -1,0 +1,49 @@
+"""Where the rows are walked, read from the source with `ast`.
+
+A table's rows are walked in one place, `single._meet_sums`, which keeps the
+sums of each target vector in the table's store; every overlap, mass and P
+reads them from there.  The neighborhood module builds its meets with
+`lanes.meet` directly and keeps no per-name row lookup.
+"""
+
+import ast
+import pathlib
+
+import fuzzycover
+
+PACKAGE_DIR = pathlib.Path(fuzzycover.__file__).parent
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _lanes_references(name: str) -> list[tuple[str, str | None]]:
+    """(module, enclosing top-level definition) of each use of `lanes.<name>`."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in _tree(path.stem).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == name
+                        and isinstance(node.value, ast.Name) and node.value.id == "lanes"):
+                    found.append((path.stem, owner))
+                elif isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+                    found.append((path.stem, owner))
+    return found
+
+
+def _defined(body) -> set[str]:
+    return {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_only_meet_sums_store_walks_the_rows():
+    assert _lanes_references("meet_sums") == [("single", "_meet_sums")]
+
+
+def test_neighborhood_keeps_no_meet_wrapper_or_row_lookup():
+    tree = _tree("neighborhood")
+    assert "_meet" not in _defined(tree.body)
+    [table] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "NeighborhoodTable"]
+    assert "row" not in _defined(table.body)
+    assert {"rows", "distinct", "sigma"} <= _defined(table.body)
