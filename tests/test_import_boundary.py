@@ -66,3 +66,21 @@ def test_cli_import_leaves_out_check_and_gen_modules():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def test_well_formed_commands_import_nothing_more():
+    # argparse is built only for help and errors; building it imports `locale` (gettext)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
+    )}
+    script = (
+        "import sys, fuzzycover.cli\n"
+        "before = set(sys.modules)\n"
+        "codes = [fuzzycover.cli.main(['validate', 'crisp.json']), fuzzycover.cli.main(\n"
+        "    ['approx', 'price.json', '--op', 'dq1', '--alpha', '0.75', '--beta', '0.25',\n"
+        "     '--k', '2', '--target', 'X'])]\n"
+        "print(codes, sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, cwd=PACKAGE_DIR.parents[1] / "fixtures")
+    assert proc.stderr == "[0, 0] []\n"

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -1307,8 +1308,17 @@ class TestCliParser:
     @pytest.mark.parametrize("argv,built", [
         *(([name, "--help"], 1) for name in SUBCOMMANDS),
         (["--help"], len(SUBCOMMANDS)),
+        # a well-formed command line is read without argparse
+        (["validate", "crisp.json"], 0),
+        (["neigh", "price.json", "--format", "csv"], 0),
+        (["approx", "price.json", "--op", "dq1", "--alpha", "0.75", "--beta", "0.25",
+          "--k", "2", "--target", "X"], 0),
+        (["mg", "two_cov.json", "--op", "mg-prob1", "--alphas", "0.75,0.7", "--beta", "0.25",
+          "--target", "X"], 0),
+        (["check", "--random", "--count", "2"], 0),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-    def test_subparsers_built_per_command(self, capsys, monkeypatch, argv, built):
+    def test_subparsers_built_per_command(self, capsys, monkeypatch, fixtures_dir, argv, built):
+        monkeypatch.chdir(fixtures_dir)
         calls = []
         add_parser = argparse._SubParsersAction.add_parser
         monkeypatch.setattr(
@@ -1347,6 +1357,25 @@ def test_closed_stdout_exits_quietly(fixtures_dir, argv, buffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["validate", "price.json"],
+    ["approx", "price.json", "--op", "prob", "--alpha", "0.75", "--beta", "0.25", "--target", "X"],
+    ["check", "price.json"],
+    ["--help"],
+    ["approx", "--help"],
+], ids=" ".join)
+def test_full_stdout_is_a_parameter_error(fixtures_dir, argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "fuzzycover", *argv], cwd=fixtures_dir,
+                              env=env, stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == cli.EXIT_PARAMETER
+    assert proc.stderr == f"parameter error: standard output: {os.strerror(errno.ENOSPC)}\n".encode()
 
 
 def test_every_op_id_names_one_family():
