@@ -74,8 +74,8 @@ def _pick_thresholds_for(
     candidates += [rng.randrange(0, MICRO + 1, 50_000) for _ in range(2)]
     if rng.random() < 0.6:
         ov = single.overlap_sums(table, target)
-        i = rng.randrange(len(ov))
-        p = _representable(Fraction(ov[i], table.sigma[i]))
+        j = table.index[rng.randrange(table.universe.size)]
+        p = _representable(Fraction(ov[j], table.distinct_sigma[j]))
         if p is not None:
             candidates.append(p)
     a, b = sorted((rng.choice(candidates), rng.choice(candidates)))
@@ -87,10 +87,10 @@ def _pick_grade_for(rng: random.Random, table, target: FuzzySet) -> Grade:
     candidates = [0, MICRO // 2, MICRO, 2 * MICRO, n * MICRO]
     candidates.append(rng.randrange(0, (n + 1) * MICRO + 1, 100_000))
     if rng.random() < 0.6:
-        # exact tie: overlap == k or residual mass == k at some object
+        # exact tie: overlap == k or residual mass == k at some object, drawn over objects
         ov = single.overlap_sums(table, target)
         mass = single.mass_sums(table, target, ResidualMode.RESIDUAL)
-        candidates.append(rng.choice(list(ov) + list(mass)))
+        candidates.append(rng.choice([sums[j] for sums in (ov, mass) for j in table.index]))
     return Grade(rng.choice(candidates))
 
 

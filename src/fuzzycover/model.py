@@ -42,6 +42,11 @@ class Universe:
     objects: tuple[str, ...]
 
     def __post_init__(self):
+        # tuple() would split one name into its characters
+        if isinstance(self.objects, str):
+            raise StructuralError(
+                f"universe objects must be a sequence of names, got {self.objects!r}"
+            )
         objects = tuple(self.objects)
         object.__setattr__(self, "objects", objects)
         if len(objects) == 0:
@@ -329,6 +334,11 @@ class MultiGranulationSystem:
         return ApproximationSpace(self.universe, chosen)
 
 
+def _require_micro_units(name: str, value) -> None:
+    if not isinstance(value, int):
+        raise ParameterError(f"{name} must be an int of micro-units, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ThresholdPair:
     """Probabilistic thresholds 0 <= beta <= alpha <= 1 (micro-units)."""
@@ -337,6 +347,8 @@ class ThresholdPair:
     beta: int
 
     def __post_init__(self):
+        _require_micro_units("alpha", self.alpha)
+        _require_micro_units("beta", self.beta)
         if not (0 <= self.beta <= self.alpha <= MICRO):
             raise ParameterError(
                 f"need 0 <= beta <= alpha <= 1, got alpha={format_scaled(self.alpha)} "
@@ -357,6 +369,9 @@ class Grade:
     """
 
     k: int
+
+    def __post_init__(self):
+        _require_micro_units("k", self.k)
 
     @classmethod
     def from_string(cls, k: str) -> "Grade":

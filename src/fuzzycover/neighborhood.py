@@ -12,14 +12,14 @@ rows, their sigma-counts and an index from each object to its row; building
 it costs O(n * members + n * d * members) instead of O(n^2 * members), and
 operators evaluate each distinct row once.  Each row is stored packed, one
 int with a 32-bit lane per degree (`lanes`), and every meet, here and in the
-operators, is the exact lane meet.  A table also keeps the per-object sums
-of each target vector it has been evaluated against (`sums`), filled by
+operators, is the exact lane meet.  A table also keeps the per-row sums of
+each target vector it has been evaluated against (`sums`), filled by
 `single._meet_sums`, the one function that walks the rows, so a command
 walks them at most once per target vector.  The integer vectors
-(`distinct`) and the per-object `sigma` and `rows` are views built on first
-use.  A minimum of valid degrees is a valid degree, so fuzzy sets are
-validated where they enter the package and where a neighborhood leaves it
-(`rows`, `fuzzy_gamma_neighborhood`), not per table row.
+(`distinct`) and the per-object `rows` are views built on first use.  A
+minimum of valid degrees is a valid degree, so fuzzy sets are validated where
+they enter the package and where a neighborhood leaves it (`rows`,
+`fuzzy_gamma_neighborhood`), not per table row.
 """
 
 from __future__ import annotations
@@ -36,14 +36,13 @@ class NeighborhoodTable:
     """Distinct neighborhoods and sigma-counts for one covering.
 
     `packed[index[i]]` is the i-th object's neighborhood as packed lanes and
-    `distinct_sigma[index[i]]` its sigma-count.  Three views are built on
+    `distinct_sigma[index[i]]` its sigma-count.  Two views are built on
     first use: `distinct`, each row as an integer vector (what `neigh`
-    prints); `sigma`, the sigma-count per object (what the operators compare
-    against); and `rows`, the neighborhood per object as a FuzzySet, one
-    shared per distinct row.  `sums[xs]` is sum(xs & N_x) per object for
-    each target vector `xs` the table has been evaluated against
-    (`single._meet_sums` fills it); it is derived data, so it takes no part
-    in equality, hashing or the repr.
+    prints), and `rows`, the neighborhood per object as a FuzzySet, one
+    shared per distinct row.  `sums[xs]` holds sum(xs & N) for each distinct
+    row N, in row order, for each target vector `xs` the table has been
+    evaluated against (`single._meet_sums` fills it); it is derived data, so
+    it takes no part in equality, hashing or the repr.
     """
 
     space: ApproximationSpace
@@ -61,10 +60,6 @@ class NeighborhoodTable:
     def distinct(self) -> tuple[tuple[int, ...], ...]:
         n = self.universe.size
         return tuple(lanes.unpack(row, n) for row in self.packed)
-
-    @cached_property
-    def sigma(self) -> tuple[int, ...]:
-        return tuple(map(self.distinct_sigma.__getitem__, self.index))
 
     @cached_property
     def rows(self) -> tuple[FuzzySet, ...]:

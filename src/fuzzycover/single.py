@@ -19,11 +19,12 @@ the alternative formula.
 
 Both sums are one pass over the table's d distinct rows: the target is packed
 once and each row costs one exact lane meet-sum (`lanes.meet_sums`), a few
-big-int operations and a C-level sum, not one Python `min` per degree.  The
-per-object values are then broadcast through the table's index.  A table
-keeps the sums of each target vector it has seen, so the row pass runs once
-per (table, target vector): every later operator, region split, diagnostic,
-sweep point or residual mass over the same table and vector reads them back.
+big-int operations and a C-level sum, not one Python `min` per degree.  Sums,
+masses and test outcomes stay one per row; each per-object answer reads its
+row through the table's index once.  A table keeps the sums of each target
+vector it has seen, so the row pass runs once per (table, target vector):
+every later operator, region split, diagnostic, sweep point or residual mass
+over the same table and vector reads them back.
 
 Every operator is one fold: `flags` takes a list of (table, t, k) tests, runs
 the prob tests of each entry that has `t` and the grade tests of each that has
@@ -101,7 +102,7 @@ def _check_target(table: NeighborhoodTable, target: FuzzySet) -> None:
 
 
 def _meet_sums(table: NeighborhoodTable, xs: tuple[int, ...]) -> tuple[int, ...]:
-    """sum(xs & N_x) per object: one lane meet-sum per distinct row, then broadcast.
+    """sum(xs & N) per distinct row N: one lane meet-sum each.
 
     The first call for a vector walks the rows and stores the result in
     `table.sums`; equal vectors have equal sums, so later calls read it back.
@@ -109,13 +110,17 @@ def _meet_sums(table: NeighborhoodTable, xs: tuple[int, ...]) -> tuple[int, ...]
     """
     sums = table.sums.get(xs)
     if sums is None:
-        per_row = lanes.meet_sums(lanes.pack(xs), table.packed, len(xs))
-        sums = table.sums[xs] = tuple(map(per_row.__getitem__, table.index))
+        sums = table.sums[xs] = tuple(lanes.meet_sums(lanes.pack(xs), table.packed, len(xs)))
     return sums
 
 
+def _spread(table: NeighborhoodTable, per_row):
+    """One value per object, in universe order: the value of its distinct row."""
+    return map(per_row.__getitem__, table.index)
+
+
 def overlap_sums(table: NeighborhoodTable, target: FuzzySet) -> tuple[int, ...]:
-    """sum(X & N_x) per object, micro-units."""
+    """sum(X & N) per distinct row N of the table, micro-units."""
     _check_target(table, target)
     return _meet_sums(table, target.memberships)
 
@@ -123,19 +128,19 @@ def overlap_sums(table: NeighborhoodTable, target: FuzzySet) -> tuple[int, ...]:
 def mass_sums(
     table: NeighborhoodTable, target: FuzzySet, mode: ResidualMode
 ) -> tuple[int, ...]:
-    """Residual mass per object under the selected reading, micro-units."""
+    """Residual mass per distinct row under the selected reading, micro-units."""
     _check_target(table, target)
     if mode is ResidualMode.RESIDUAL:
         ov = overlap_sums(table, target)
-        return tuple(s - o for s, o in zip(table.sigma, ov))
+        return tuple(s - o for s, o in zip(table.distinct_sigma, ov))
     return _meet_sums(table, tuple(MICRO - v for v in target.memberships))
 
 
 def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str) -> Fraction:
     """Exact conditional probability of the target given the neighborhood of x."""
     ov = overlap_sums(table, target)
-    i = table.universe.index(name)
-    return Fraction(ov[i], table.distinct_sigma[table.index[i]])
+    j = table.index[table.universe.index(name)]
+    return Fraction(ov[j], table.distinct_sigma[j])
 
 
 def flags(
@@ -147,19 +152,20 @@ def flags(
     """Per-object (lower, upper) flags: every selected test of every entry, joined.
 
     An entry (table, t, k) runs the prob tests (P >= alpha, P >= beta) when `t`
-    is given and the grade tests (mass <= k, overlap > k) when `k` is given.
-    Each object's lower flags from all entries are joined by `join`, and so are
-    its upper flags (`all` for dq1 and the ALL folds, `any` for dq2 and ANY).
+    is given and the grade tests (mass <= k, overlap > k) when `k` is given,
+    each on the d rows, then spread to the objects.  Each object's lower flags
+    from all entries are joined by `join`, and so are its upper flags (`all`
+    for dq1 and the ALL folds, `any` for dq2 and ANY).
     """
     lowers, uppers = [], []
     for table, t, k in tests:
-        ov = overlap_sums(table, target)
+        ov, sigma = overlap_sums(table, target), table.distinct_sigma
         if t is not None:
-            lowers.append([ratio_ge(o, s, t.alpha) for o, s in zip(ov, table.sigma)])
-            uppers.append([ratio_ge(o, s, t.beta) for o, s in zip(ov, table.sigma)])
+            lowers.append(_spread(table, [ratio_ge(o, s, t.alpha) for o, s in zip(ov, sigma)]))
+            uppers.append(_spread(table, [ratio_ge(o, s, t.beta) for o, s in zip(ov, sigma)]))
         if k is not None:
-            lowers.append([m <= k.k for m in mass_sums(table, target, mode)])
-            uppers.append([o > k.k for o in ov])
+            lowers.append(_spread(table, [m <= k.k for m in mass_sums(table, target, mode)]))
+            uppers.append(_spread(table, [o > k.k for o in ov]))
     return list(map(join, zip(*lowers))), list(map(join, zip(*uppers)))
 
 
@@ -303,17 +309,17 @@ def threshold_form_check(
     ov = overlap_sums(table, target)
     mass = mass_sums(table, target, ResidualMode.RESIDUAL)
     flagged, hold = [], True
-    for name, o, s, m in zip(table.universe.objects, ov, table.sigma, mass):
+    for o, s, m in zip(ov, table.distinct_sigma, mass):
         p, k_ratio = Fraction(o, s), Fraction(k.k, s)
-        if (o > k.k) != (p >= k_ratio):
-            flagged.append(name)
+        flagged.append((o > k.k) != (p >= k_ratio))
         hold = hold and (
             (o > k.k) == (p > k_ratio)
             and (m <= k.k) == (p >= 1 - k_ratio)
             and (p >= Fraction(t.alpha, MICRO)) == ratio_ge(o, s, t.alpha)
             and (p >= Fraction(t.beta, MICRO)) == ratio_ge(o, s, t.beta)
         )
-    return ThresholdFormReport(tuple(flagged), hold)
+    names = compress(table.universe.objects, _spread(table, flagged))
+    return ThresholdFormReport(tuple(names), hold)
 
 
 def diagnostics(table: NeighborhoodTable, target: FuzzySet) -> list[dict[str, str]]:
@@ -325,17 +331,14 @@ def diagnostics(table: NeighborhoodTable, target: FuzzySet) -> list[dict[str, st
     ov = overlap_sums(table, target)
     res = mass_sums(table, target, ResidualMode.RESIDUAL)
     comp = mass_sums(table, target, ResidualMode.COMPLEMENT)
-    shared: dict[int, dict[str, str]] = {}
-    out = []
-    rows = zip(table.universe.objects, table.index, ov, table.sigma, res, comp)
-    for name, j, o, s, r, c in rows:
-        if j not in shared:
-            shared[j] = {
-                "overlap": format_scaled(o),
-                "sigma": format_scaled(s),
-                "p": str(Fraction(o, s)),
-                "residual_mass": format_scaled(r),
-                "complement_mass": format_scaled(c),
-            }
-        out.append({"object": name, **shared[j]})
-    return out
+    rows = [
+        {
+            "overlap": format_scaled(o),
+            "sigma": format_scaled(s),
+            "p": str(Fraction(o, s)),
+            "residual_mass": format_scaled(r),
+            "complement_mass": format_scaled(c),
+        }
+        for o, s, r, c in zip(ov, table.distinct_sigma, res, comp)
+    ]
+    return [{"object": x, **row} for x, row in zip(table.universe.objects, _spread(table, rows))]

@@ -134,7 +134,7 @@ def suite_grade_laws(seed: int, count: int) -> int:
         r = grade_approx(table, x, k, mode)
         assert grade_approx(table, whole, k, mode).lower_set == everything
         assert grade_approx(table, empty, k, mode).upper_set == frozenset()
-        if k.k >= max(table.sigma):
+        if k.k >= max(table.distinct_sigma):
             assert r.lower_set == everything
 
         r_sup = grade_approx(table, y_sup, k, mode)
@@ -416,7 +416,7 @@ def suite_neighborhood(seed: int, count: int) -> int:
         table = build_table(space)
         for idx, name in enumerate(universe.objects):
             assert table.rows[idx].memberships[idx] >= covering.gamma
-            assert table.sigma[idx] >= covering.gamma > 0
+            assert table.distinct_sigma[table.index[idx]] >= covering.gamma > 0
 
         # lowering gamma can only widen the qualifying family, shrinking rows
         from fuzzycover.model import FuzzyCovering

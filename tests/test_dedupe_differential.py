@@ -56,7 +56,8 @@ def _check_system(sf) -> None:
     # a grade equal to a realized overlap puts an exact tie on the boundary
     ks = []
     for table in tables:
-        overlaps = sorted(single.overlap_sums(table, target))
+        per_row = single.overlap_sums(table, target)
+        overlaps = sorted(per_row[j] for j in table.index)
         ks.append(Grade(overlaps[len(overlaps) // 2]))
 
     # single-covering operators on the first covering; the mg folds use both
@@ -124,14 +125,20 @@ def test_lane_kernel_matches_the_per_element_meet(n):
         row = tuple(map(min, zip(*[v for v in vectors if v[i] >= gamma])))
         rows.append(row)
         assert table.distinct[table.index[i]] == row
-        assert table.sigma[i] == sum(row)
+        assert table.distinct_sigma[table.index[i]] == sum(row)
         assert fuzzy_gamma_neighborhood(space, name).memberships == row
     xs, cs = target.memberships, target.complement().memberships
     overlap = tuple(sum(map(min, xs, row)) for row in rows)
-    assert overlap_sums(table, target) == overlap
-    assert mass_sums(table, target, ResidualMode.RESIDUAL) == tuple(
+
+    def per_object(per_row):
+        # one value per distinct row, read for each object through the index
+        assert len(per_row) == len(table.packed)
+        return tuple(per_row[j] for j in table.index)
+
+    assert per_object(overlap_sums(table, target)) == overlap
+    assert per_object(mass_sums(table, target, ResidualMode.RESIDUAL)) == tuple(
         sum(row) - o for row, o in zip(rows, overlap)
     )
-    assert mass_sums(table, target, ResidualMode.COMPLEMENT) == tuple(
+    assert per_object(mass_sums(table, target, ResidualMode.COMPLEMENT)) == tuple(
         sum(map(min, cs, row)) for row in rows
     )

@@ -51,6 +51,11 @@ class TestUniverse:
         with pytest.raises(StructuralError):
             U8.index("nope")
 
+    def test_rejects_one_string_for_the_objects(self):
+        # a str is a sequence of characters, which would become objects
+        with pytest.raises(StructuralError, match="'abc'"):
+            Universe("abc")
+
 
 class TestFuzzySetAlgebra:
     def test_intersection_golden(self):
@@ -279,6 +284,24 @@ class TestParameters:
     def test_threshold_pair_rejects(self):
         with pytest.raises(ParameterError):
             ThresholdPair.from_strings("0.25", "0.75")
+
+    @pytest.mark.parametrize("alpha,beta,bad", [
+        (0.75, 0.25, "alpha"), (750_000, 0.25, "beta"), ("0.75", 250_000, "alpha"),
+    ])
+    def test_threshold_pair_refuses_a_value_that_is_not_micro_units(self, alpha, beta, bad):
+        value = {"alpha": alpha, "beta": beta}[bad]
+        message = f"{bad} must be an int of micro-units, got {value!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            ThresholdPair(alpha, beta)
+
+    @pytest.mark.parametrize("k", [2.0, "2", None])
+    def test_grade_refuses_a_value_that_is_not_micro_units(self, k):
+        with pytest.raises(ParameterError, match=re.escape(repr(k))):
+            Grade(k)
+
+    def test_bool_parameters_stay_accepted(self):
+        assert ThresholdPair(True, False).alpha is True
+        assert Grade(False).k is False
 
     def test_grade_parses_negative(self):
         assert Grade.from_string("-1").k == -MICRO

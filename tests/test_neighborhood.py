@@ -66,7 +66,8 @@ class TestFuzzy:
 
 class TestTable:
     def test_sigma_golden(self, price_table):
-        assert tuple(format_scaled(s) for s in price_table.sigma) == (
+        sigma = price_table.distinct_sigma
+        assert tuple(format_scaled(sigma[j]) for j in price_table.index) == (
             "5.2", "5", "3.3", "5.2", "5.2", "3.3", "5.2", "5",
         )
 
@@ -78,7 +79,7 @@ class TestTable:
         gamma = price_space.covering.gamma
         for i in range(price_space.universe.size):
             assert price_table.rows[i].memberships[i] >= gamma
-            assert price_table.sigma[i] >= gamma
+            assert price_table.distinct_sigma[price_table.index[i]] >= gamma
 
     def test_crisp_gamma_one_reduces(self, crisp_space):
         table = build_table(crisp_space)
@@ -114,7 +115,7 @@ class TestTable:
                 assert all(type(v) is int for v in row)
             for i, name in enumerate(space.universe.objects):
                 assert table.rows[i] == fuzzy_gamma_neighborhood(space, name)
-                assert table.sigma[i] == table.rows[i].sigma_count()
+                assert table.distinct_sigma[table.index[i]] == table.rows[i].sigma_count()
 
 
 def test_property_suite():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzycover import operators, single
+from fuzzycover import cli, operators, single
 from fuzzycover.exact import MICRO, parse_scaled
 from fuzzycover.model import (
     ApproximationSpace,
@@ -93,7 +93,7 @@ class TestGradeApprox:
         assert r.upper == ALL8
 
     def test_large_k_gives_full_lower(self, price_table, target_x):
-        k = Grade(max(price_table.sigma))
+        k = Grade(max(price_table.distinct_sigma))
         assert grade_approx(price_table, target_x, k).lower == ALL8
 
     def test_complement_mode_on_quality(self, quality_space, target_x):
@@ -315,9 +315,35 @@ def test_stored_sums_equal_a_fresh_pass(price_space, target_x):
         for kind, target in reads:
             got = (overlap_sums(table, target) if kind == "overlap"
                    else mass_sums(table, target, kind))
-            assert got == want(kind, target)
-        # four distinct vectors: X, its reverse and the complement of each
+            assert len(got) == len(table.packed)
+            assert tuple(got[j] for j in table.index) == want(kind, target)
+        # four distinct vectors: X, its reverse and the complement of each,
+        # each stored as one sum per distinct row
         assert len(table.sums) == 4
+        assert all(len(sums) == len(table.packed) for sums in table.sums.values())
+
+
+def _count_ratio_ge(monkeypatch) -> list:
+    calls, ratio_ge = [], single.ratio_ge
+    monkeypatch.setattr(single, "ratio_ge", lambda *a: calls.append(a) or ratio_ge(*a))
+    return calls
+
+
+def test_prob_tests_compare_each_distinct_row_once(monkeypatch, price_table, target_x):
+    # 8 objects on 3 distinct rows: alpha and beta are each compared once per row
+    calls = _count_ratio_ge(monkeypatch)
+    prob_approx(price_table, target_x, T)
+    assert (price_table.universe.size, len(price_table.packed)) == (8, 3)
+    assert len(calls) == 6
+
+
+def test_mg_prob_compares_each_distinct_row_once(monkeypatch, capsys, fixtures_dir):
+    # two coverings of 8 objects on 3 distinct rows each, two tests per covering
+    calls = _count_ratio_ge(monkeypatch)
+    code = cli.main(["mg", str(fixtures_dir / "two_cov.json"), "--op", "mg-prob1",
+                     "--alpha", "0.75", "--beta", "0.25", "--target", "X"])
+    assert code == 0 and capsys.readouterr().out
+    assert len(calls) == 12
 
 
 def test_stored_sums_are_not_part_of_the_table(price_space, target_x):
@@ -372,11 +398,17 @@ def test_sums_at_the_lane_fold_edges(n):
         ov_row = {sig: sum(map(min, xs, row)) for sig, row in rows.items()}
         comp_row = {sig: sum(map(min, complement, row)) for sig, row in rows.items()}
         overlap = [ov_row[sig] for sig in signatures]
-        assert overlap_sums(table, target) == tuple(overlap)
-        assert mass_sums(table, target, ResidualMode.RESIDUAL) == tuple(
+
+        def per_object(per_row):
+            # one value per distinct row, read for each object through the index
+            assert len(per_row) == len(rows) == len(table.packed)
+            return tuple(per_row[j] for j in table.index)
+
+        assert per_object(overlap_sums(table, target)) == tuple(overlap)
+        assert per_object(mass_sums(table, target, ResidualMode.RESIDUAL)) == tuple(
             s - o for s, o in zip(sigma, overlap)
         )
-        assert mass_sums(table, target, ResidualMode.COMPLEMENT) == tuple(
+        assert per_object(mass_sums(table, target, ResidualMode.COMPLEMENT)) == tuple(
             comp_row[sig] for sig in signatures
         )
         for i in (0, n // 2, n - 1):

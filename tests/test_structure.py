@@ -1,9 +1,9 @@
 """Where the rows are walked, read from the source with `ast`.
 
 A table's rows are walked in one place, `single._meet_sums`, which keeps the
-sums of each target vector in the table's store; every overlap, mass and P
-reads them from there.  The neighborhood module builds its meets with
-`lanes.meet` directly and keeps no per-name row lookup.
+sums of each target vector in the table's store, one per distinct row; every
+overlap, mass and P reads them from there.  The neighborhood module builds
+its meets with `lanes.meet` directly and keeps no per-name row lookup.
 """
 
 import ast
@@ -41,9 +41,18 @@ def test_only_meet_sums_store_walks_the_rows():
     assert _lanes_references("meet_sums") == [("single", "_meet_sums")]
 
 
+def test_meet_sums_store_is_not_spread_to_objects():
+    [meet_sums] = [n for n in _tree("single").body
+                   if isinstance(n, ast.FunctionDef) and n.name == "_meet_sums"]
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "index"
+                   for n in ast.walk(meet_sums))
+
+
 def test_neighborhood_keeps_no_meet_wrapper_or_row_lookup():
     tree = _tree("neighborhood")
     assert "_meet" not in _defined(tree.body)
     [table] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "NeighborhoodTable"]
     assert "row" not in _defined(table.body)
-    assert {"rows", "distinct", "sigma"} <= _defined(table.body)
+    assert {"rows", "distinct"} <= _defined(table.body)
+    # per-object values are read through `index` where they are produced
+    assert "sigma" not in _defined(table.body)
