@@ -7,7 +7,8 @@ the top bit of every lane is free to act as a guard: with it set in `a`,
 `a - b` cannot borrow across a lane, and the guard survives exactly in the
 lanes where a >= b.  Spreading that bit over the lane selects b there and a
 elsewhere, which is the pointwise min.  A meet of two rows is then a few
-big-int operations instead of one Python `min` per degree.
+big-int operations instead of one Python `min` per degree; against t in
+every lane the same test is a gamma-cut (`at_least`).
 
 A lane sum folds the int in halves: the high half of the lanes is shifted
 down and added onto the low half, one mask, one shift and one add on an int
@@ -70,6 +71,12 @@ def _folds(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
         n = (n + 1) // 2  # the low half keeps the odd lane
         steps.append((32 * n, (1 << 32 * n) - 1))
     return tuple(steps), n
+
+
+def at_least(v: int, t: int, n: int) -> int:
+    """Bit 31 set in each of the n lanes of `v` whose degree is >= t."""
+    guard = _guard(n)
+    return ((v | guard) - (guard >> 31) * t) & guard  # the guard test of `_meet` against t
 
 
 def _meet(a: int, b: int, guard: int) -> int:

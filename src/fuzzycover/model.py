@@ -4,7 +4,8 @@ Everything is immutable after construction and all arithmetic is exact
 (micro-unit integers, see exact.py).  A covering family is *valid* when
 
   (1) every member is non-empty (some degree > 0), and
-  (2) every object reaches degree >= gamma in at least one member.
+  (2) every object reaches degree >= gamma in at least one member: some
+      member's gamma-cut (`FuzzyCovering.cuts`, packed lanes) holds it.
 
 Coverings can be constructed in an invalid state so that validation can be
 reported on raw data; approximation spaces refuse invalid coverings.
@@ -16,7 +17,10 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from . import lanes
 from .exact import MICRO, format_scaled, parse_degree, parse_scaled
+
+_NOT_A_SEQUENCE = (str, set, frozenset, type({}.keys()), type({}.values()), type({}.items()))
 
 
 class StructuralError(ValueError):
@@ -42,8 +46,8 @@ class Universe:
     objects: tuple[str, ...]
 
     def __post_init__(self):
-        # tuple() would split one name into its characters
-        if isinstance(self.objects, str):
+        # tuple() would split a str into characters; a set (hash order) or dict view is no sequence
+        if isinstance(self.objects, _NOT_A_SEQUENCE):
             raise StructuralError(
                 f"universe objects must be a sequence of names, got {self.objects!r}"
             )
@@ -138,9 +142,6 @@ class FuzzySet:
         """Sum of all degrees (fuzzy cardinality), in micro-units."""
         return sum(self.memberships)
 
-    def is_empty(self) -> bool:
-        return all(v == 0 for v in self.memberships)
-
     def is_crisp(self) -> bool:
         return all(v in (0, MICRO) for v in self.memberships)
 
@@ -203,6 +204,8 @@ class FuzzyCovering:
                 raise StructuralError(
                     f"member {n!r} of covering {self.name!r} is over a different universe"
                 )
+        if not isinstance(self.gamma, int):
+            raise StructuralError(f"gamma must be an int of micro-units, got {self.gamma!r}")
         if not 0 < self.gamma <= MICRO:
             raise StructuralError(
                 f"gamma must be in (0, 1], got {format_scaled(self.gamma)}"
@@ -225,17 +228,22 @@ class FuzzyCovering:
     def is_crisp(self) -> bool:
         return all(s.is_crisp() for s in self.member_sets)
 
+    def cuts(self) -> tuple[int, ...]:
+        """Each member's gamma-cut: bit 31 of each lane where its degree reaches gamma."""
+        gamma, n = self.gamma, self.universe.size
+        return tuple(lanes.at_least(lanes.pack(s.memberships), gamma, n) for s in self.member_sets)
+
 
 def validate_covering(covering: FuzzyCovering) -> ValidationReport:
     """Check both covering conditions; reports violations, never raises."""
-    empty = tuple(n for n, s in covering.members if s.is_empty())
-    uncovered = []
-    degrees_per_object = zip(*(s.memberships for s in covering.member_sets))
-    for obj, degrees in zip(covering.universe.objects, degrees_per_object):
-        best = max(degrees)
-        if best < covering.gamma:
-            uncovered.append((obj, best))
-    return ValidationReport(covering.name, empty, tuple(uncovered))
+    empty = tuple(n for n, s in covering.members if not any(s.memberships))
+    covered, n = functools.reduce(int.__or__, covering.cuts()), covering.universe.size
+    uncovered = ()
+    if covered.bit_count() < n:  # some lane is in no cut: read its degrees only now
+        columns = zip(covering.universe.objects, lanes.unpack(covered, n),
+                      *(s.memberships for s in covering.member_sets))
+        uncovered = tuple((obj, max(degrees)) for obj, hit, *degrees in columns if not hit)
+    return ValidationReport(covering.name, empty, uncovered)
 
 
 def build_covering_from_reports(

@@ -6,26 +6,27 @@ least one qualifying member, so the neighborhood always exists and keeps
 degree >= gamma at x itself.  On a 0/1 covering a member reaches any gamma
 at x exactly when it contains x, so the crisp neighborhood is the same meet.
 
-N_x depends only on the *signature* of x, the set of qualifying members, so
-objects with equal signatures share one row.  A table stores the d distinct
-rows, their sigma-counts and an index from each object to its row; building
-it costs O(n * members + n * d * members) instead of O(n^2 * members), and
-operators evaluate each distinct row once.  Each row is stored packed, one
-int with a 32-bit lane per degree (`lanes`), and every meet, here and in the
-operators, is the exact lane meet.  A table also keeps the per-row sums of
-each target vector it has been evaluated against (`sums`), filled by
-`single._meet_sums`, the one function that walks the rows, so a command
-walks them at most once per target vector.  The integer vectors
-(`distinct`) and the per-object `rows` are views built on first use.  A
-minimum of valid degrees is a valid degree, so fuzzy sets are validated where
-they enter the package and where a neighborhood leaves it (`rows`,
-`fuzzy_gamma_neighborhood`), not per table row.
+N_x depends only on the *signature* of x, its column of the members'
+gamma-cuts (`FuzzyCovering.cuts`), so objects with equal signatures share one
+row.  A table stores the d distinct rows, their sigma-counts and an index
+from each object to its row; building it costs one cut per member and d
+meets, not a Python test per (object, member), and operators evaluate each
+distinct row once.  Each row is stored packed, one int with a 32-bit lane per
+degree (`lanes`), and every meet, here and in the operators, is the exact
+lane meet.  A table also keeps the per-row sums of each target vector it has
+been evaluated against (`sums`), filled by `single._meet_sums`, the one
+function that walks the rows, so a command walks them at most once per target
+vector.  The integer vectors (`distinct`) and the per-object `rows` are views
+built on first use.  A minimum of valid degrees is a valid degree, so fuzzy
+sets are validated where they enter the package and where a neighborhood
+leaves it (`rows`, `fuzzy_gamma_neighborhood`), not per table row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from . import lanes
 from .model import ApproximationSpace, FuzzySet, StructuralError
@@ -67,26 +68,17 @@ class NeighborhoodTable:
         return tuple(map(shared.__getitem__, self.index))
 
 
-def _vectors(space: ApproximationSpace) -> tuple[tuple[int, ...], ...]:
-    return tuple(s.memberships for s in space.covering.member_sets)
-
-
-def _signature(vectors: tuple[tuple[int, ...], ...], gamma: int, index: int) -> tuple[int, ...]:
-    """Positions of the covering members whose degree at the object reaches gamma."""
-    return tuple(j for j, v in enumerate(vectors) if v[index] >= gamma)
-
-
 def qualifying_members(space: ApproximationSpace, index: int) -> tuple[str, ...]:
     """Names of covering members whose degree at the object reaches gamma."""
-    names = space.covering.member_names
-    return tuple(names[j] for j in _signature(_vectors(space), space.covering.gamma, index))
+    hits = (lanes.unpack(cut >> 31, space.universe.size)[index] for cut in space.covering.cuts())
+    return tuple(compress(space.covering.member_names, hits))
 
 
 def fuzzy_gamma_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
     """Pointwise min of all members with degree >= gamma at the object."""
-    vectors, n = _vectors(space), space.universe.size
-    signature = _signature(vectors, space.covering.gamma, space.universe.index(name))
-    row = lanes.meet((lanes.pack(vectors[j]) for j in signature), n)
+    members, n = dict(space.covering.members), space.universe.size
+    qualifying = qualifying_members(space, space.universe.index(name))
+    row = lanes.meet((lanes.pack(members[m].memberships) for m in qualifying), n)
     return FuzzySet(space.universe, lanes.unpack(row, n))
 
 
@@ -98,14 +90,12 @@ def crisp_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
 
 
 def build_table(space: ApproximationSpace) -> NeighborhoodTable:
-    """One row per distinct signature, in order of first occurrence."""
-    vectors, gamma, n = _vectors(space), space.covering.gamma, space.universe.size
-    slots: dict[tuple[int, ...], int] = {}
-    index = tuple(
-        slots.setdefault(_signature(vectors, gamma, i), len(slots))
-        for i in range(n)
-    )
-    members = tuple(map(lanes.pack, vectors))
+    """One row per distinct signature, a column of the cuts, in first-occurrence order."""
+    covering, n = space.covering, space.universe.size
+    signatures = list(zip(*(lanes.unpack(cut >> 31, n) for cut in covering.cuts())))
+    slots = {signature: row for row, signature in enumerate(dict.fromkeys(signatures))}
+    members = tuple(lanes.pack(s.memberships) for s in covering.member_sets)
     # the covering condition guarantees every signature is non-empty
-    packed = tuple(lanes.meet(map(members.__getitem__, signature), n) for signature in slots)
-    return NeighborhoodTable(space, packed, tuple(lanes.lane_sum(row, n) for row in packed), index)
+    packed = tuple(lanes.meet(compress(members, signature), n) for signature in slots)
+    sigma = tuple(lanes.lane_sum(row, n) for row in packed)
+    return NeighborhoodTable(space, packed, sigma, tuple(map(slots.__getitem__, signatures)))

@@ -8,12 +8,14 @@ failures reproduce; every helper returns the number of instances it checked.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from fuzzycover import oracle
 from fuzzycover.exact import MICRO
 from fuzzycover.generate import random_covering, random_fuzzy_set
 from fuzzycover.model import (
     ApproximationSpace,
+    FuzzyCovering,
     FuzzySet,
     Grade,
     MultiGranulationSystem,
@@ -24,9 +26,11 @@ from fuzzycover.multi import mg_dq, mg_grade, mg_prob
 from fuzzycover.neighborhood import build_table, crisp_neighborhood
 from fuzzycover.single import (
     ResidualMode,
+    cond_prob,
     dq_conjunctive,
     dq_disjunctive,
     grade_approx,
+    overlap_sums,
     grade_regions,
     prob_approx,
     prob_regions,
@@ -357,8 +361,6 @@ def suite_crisp_reduction(seed: int, count: int) -> int:
         covering_sets = tuple(
             (f"c{j + 1}", FuzzySet(universe, tuple(matrix[j]))) for j in range(members)
         )
-        from fuzzycover.model import FuzzyCovering
-
         covering = FuzzyCovering("c", universe, covering_sets, MICRO)
         space = ApproximationSpace(universe, covering)
         table = build_table(space)
@@ -419,7 +421,6 @@ def suite_neighborhood(seed: int, count: int) -> int:
             assert table.distinct_sigma[table.index[idx]] >= covering.gamma > 0
 
         # lowering gamma can only widen the qualifying family, shrinking rows
-        from fuzzycover.model import FuzzyCovering
         from fuzzycover.neighborhood import qualifying_members
 
         lower_gamma = rng.randrange(50_000, covering.gamma + 1, 50_000)
@@ -439,6 +440,92 @@ def suite_neighborhood(seed: int, count: int) -> int:
     return count
 
 
+def _residual_counterexample() -> None:
+    """The grade duality of `suite_duality` fails in residual mode for a fuzzy X.
+
+    One object, N = 0.4 (gamma 0.4), X = 0.5, k = 0: overlap(X) = 0.4 > 0
+    puts x in upper_0(X), and the residual mass of 1 - X, 0.4 - min(0.5, 0.4)
+    = 0 <= 0, puts x in lower_0(1 - X), so ~lower_0(1 - X) is empty.  The
+    complement mass of 1 - X is min(0.5, 0.4) = 0.4 > 0, so there the law holds.
+    """
+    universe = Universe(("x",))
+    covering = FuzzyCovering("c", universe, (("n", FuzzySet(universe, (400_000,))),), 400_000)
+    space = ApproximationSpace(universe, covering)
+    table = build_table(space)
+    x, k, everything = FuzzySet(universe, (500_000,)), Grade(0), frozenset(universe.objects)
+    for mode, holds in ((ResidualMode.RESIDUAL, False), (ResidualMode.COMPLEMENT, True)):
+        lower = grade_approx(table, x.complement(), k, mode).lower_set
+        assert grade_approx(table, x, k, mode).upper_set == everything
+        assert (everything - lower == everything) is holds
+        o_lower, _ = oracle.grade_approx(space, x.complement(), 0, mode.value)
+        _, o_upper = oracle.grade_approx(space, x, 0, mode.value)
+        assert o_upper == everything
+        assert (everything - o_lower == o_upper) is holds
+
+
+def suite_duality(seed: int, count: int) -> int:
+    """Dualities through the complement 1 - X, each checked on the oracle too.
+
+    - grade, complement mode, fuzzy X: ~lower_k(1 - X) = upper_k(X), since the
+      complement mass of 1 - X is the overlap of X;
+    - grade, residual mode: the same law for crisp X only (for fuzzy X,
+      min(x, n) + min(1 - x, n) != n: see `_residual_counterexample`);
+    - prob, crisp X, beta = 1 - alpha:
+      upper_beta(X) = ~lower_alpha(1 - X) | {x : P(X | N_x) = beta};
+    - fused grade, complement mode: the combinator swaps,
+      ~lower_all(1 - X) = upper_any(X) and ~lower_any(1 - X) = upper_all(X).
+    """
+    _residual_counterexample()
+    complement, residual = ResidualMode.COMPLEMENT, ResidualMode.RESIDUAL
+    for i in range(count):
+        rng = random.Random(f"duality:{seed}:{i}")
+        universe, system = _instance(rng, max_n=10, max_m=3, max_members=4)
+        everything = frozenset(universe.objects)
+        space = system.space(system.coverings[0].name)
+        table = build_table(space)
+        x = random_fuzzy_set(rng, universe)
+        crisp = FuzzySet.from_names(universe, [o for o in universe.objects if rng.random() < 0.5])
+        k = _grade(rng, universe.size)
+
+        for target, mode in ((x, complement), (crisp, complement), (crisp, residual)):
+            tie = Grade(rng.choice(overlap_sums(table, target)))  # overlap = k at some object
+            for g in (k, tie):
+                upper = grade_approx(table, target, g, mode).upper_set
+                lower = grade_approx(table, target.complement(), g, mode).lower_set
+                assert everything - lower == upper
+                o_lower, _ = oracle.grade_approx(space, target.complement(), g.k, mode.value)
+                _, o_upper = oracle.grade_approx(space, target, g.k, mode.value)
+                assert everything - o_lower == o_upper
+
+        alpha = rng.randrange(500_000, MICRO + 1, 50_000)
+        t = ThresholdPair(alpha, MICRO - alpha)
+        beta = Fraction(t.beta, MICRO)
+        ties = frozenset(o for o in universe.objects if cond_prob(table, crisp, o) == beta)
+        lower = prob_approx(table, crisp.complement(), t).lower_set
+        assert prob_approx(table, crisp, t).upper_set == (everything - lower) | ties
+        # the oracle's own neighborhoods and overlaps give its tie set
+        o_rows = [oracle._neigh(space.covering, j) for j in range(universe.size)]
+        o_ties = frozenset(o for o, row in zip(universe.objects, o_rows)
+                           if Fraction(oracle._overlap(crisp.memberships, row), sum(row)) == beta)
+        o_lower, _ = oracle.prob_approx(space, crisp.complement(), t.alpha, t.beta)
+        _, o_upper = oracle.prob_approx(space, crisp, t.alpha, t.beta)
+        assert o_upper == (everything - o_lower) | o_ties
+
+        kv = tuple(
+            Grade(rng.choice(overlap_sums(build_table(system.space(c.name)), x)))
+            if rng.random() < 0.5 else _grade(rng, universe.size)
+            for c in system.coverings
+        )
+        ks = [g.k for g in kv]
+        for comb, swapped in (("all", "any"), ("any", "all")):
+            lower = mg_grade(system, x.complement(), kv, comb, complement).lower_set
+            assert everything - lower == mg_grade(system, x, kv, swapped, complement).upper_set
+            o_lower, _ = oracle.mg_grade(system, x.complement(), ks, comb, "complement")
+            _, o_upper = oracle.mg_grade(system, x, ks, swapped, "complement")
+            assert everything - o_lower == o_upper
+    return count
+
+
 ALL_SUITES = {
     "prob-laws": suite_prob_laws,
     "grade-laws": suite_grade_laws,
@@ -448,4 +535,5 @@ ALL_SUITES = {
     "mg-laws": suite_mg_laws,
     "crisp-reduction": suite_crisp_reduction,
     "neighborhood": suite_neighborhood,
+    "duality": suite_duality,
 }

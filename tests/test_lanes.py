@@ -6,6 +6,7 @@ to a few hundred.  The lane layout rests on a 4-byte `array("I")` item and on
 MICRO < 2^31; those are checked here rather than at import time.  The lane
 sum's fold stops after `lanes.FOLDS` halvings, when 2^FOLDS lanes of MICRO
 have met in one lane; the widths around that cap are checked on their own.
+The gamma-cut `at_least` must equal `x >= t` per lane, ties included.
 """
 
 import random
@@ -123,3 +124,24 @@ def test_meet_sums_of_wide_rows(n):
     assert got == [sum(r) for r in rows]
     got = lanes.meet_sums(lanes.pack(x), [lanes.pack(r) for r in rows], n)
     assert got == [sum(map(min, x, r)) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors(1), st.one_of(st.sampled_from((0, 1, MICRO - 1, MICRO)), st.integers(0, MICRO)),
+       st.integers(2, 5))
+def test_at_least_is_the_per_lane_cut(drawn, t, every):
+    n, (xs,) = drawn
+    xs = tuple(t if i % every == 0 else x for i, x in enumerate(xs))  # ties at every few lanes
+    got = lanes.unpack(lanes.at_least(lanes.pack(xs), t, n), n)
+    assert got == tuple(2**31 if x >= t else 0 for x in xs)
+
+
+@pytest.mark.parametrize("n", (1, 4095, 4096, 4097, 8193))
+@pytest.mark.parametrize("t", (1, MICRO // 2, MICRO))
+def test_at_least_of_wide_rows(n, t):
+    # two lanes in three hold t (a tie), t - 1, t + 1 or an extreme
+    rng = random.Random(n * t)
+    xs = tuple(rng.choice((t - 1, t, min(t + 1, MICRO), 0, MICRO)) if i % 3 else
+               rng.randint(0, MICRO) for i in range(n))
+    got = lanes.unpack(lanes.at_least(lanes.pack(xs), t, n), n)
+    assert got == tuple(2**31 if x >= t else 0 for x in xs)

@@ -56,6 +56,15 @@ class TestUniverse:
         with pytest.raises(StructuralError, match="'abc'"):
             Universe("abc")
 
+    @pytest.mark.parametrize("objects", [
+        {"x1", "x2", "x3"}, frozenset({"x1", "x2"}),
+        {"x1": 0, "x2": 1}.keys(), {0: "x1"}.values(), {"x1": 0}.items(),
+    ])
+    def test_rejects_objects_without_a_fixed_order(self, objects):
+        # a set's order follows the hash seed, and every output follows the universe's order
+        with pytest.raises(StructuralError, match="sequence of names"):
+            Universe(objects)
+
 
 class TestFuzzySetAlgebra:
     def test_intersection_golden(self):
@@ -190,6 +199,50 @@ class TestValidation:
         report = validate_covering(covering)
         assert report.empty_members == ("zero",)
         assert not report.ok
+
+    def test_report_text_with_uncovered_objects_and_an_empty_member(self):
+        members = price_members()[:2] + (("zero", FuzzySet.empty(U8)),)
+        covering = FuzzyCovering("price", U8, members, parse_scaled("0.95"))
+        assert validate_covering(covering).describe() == (
+            "covering 'price': invalid\n"
+            "  member 'zero' is empty (all degrees 0)\n"
+            "  object 'x2' uncovered: max degree 0.9 < gamma\n"
+            "  object 'x3' uncovered: max degree 0.4 < gamma\n"
+            "  object 'x4' uncovered: max degree 0.9 < gamma\n"
+            "  object 'x5' uncovered: max degree 0.9 < gamma\n"
+            "  object 'x6' uncovered: max degree 0.7 < gamma\n"
+            "  object 'x7' uncovered: max degree 0.9 < gamma"
+        )
+
+    def test_degree_equal_to_gamma_covers(self):
+        u = Universe(("a", "b"))
+        members = (("m", FuzzySet(u, (MICRO, 899_999))), ("e", FuzzySet(u, (0, 900_000))))
+        assert validate_covering(FuzzyCovering("c", u, members, 900_000)).ok
+        report = validate_covering(FuzzyCovering("c", u, members, 900_001))
+        assert report.uncovered == (("b", 900_000),)
+
+
+class TestGamma:
+    U = Universe(("a", "b"))
+
+    def members(self):
+        return (("m1", FuzzySet.from_strings(self.U, ["1", "0.5"])),)
+
+    @pytest.mark.parametrize("gamma", [0.9, "0.9", None, 900_000.0])
+    def test_refuses_a_gamma_that_is_not_micro_units(self, gamma):
+        message = f"gamma must be an int of micro-units, got {gamma!r}"
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            FuzzyCovering("c", self.U, self.members(), gamma)
+
+    @pytest.mark.parametrize("gamma", [0, -1, MICRO + 1])
+    def test_refuses_a_gamma_out_of_range(self, gamma):
+        with pytest.raises(StructuralError, match=re.escape("gamma must be in (0, 1]")):
+            FuzzyCovering("c", self.U, self.members(), gamma)
+
+    def test_bool_gamma_stays_accepted(self):
+        # True is one micro-unit, as a bool degree or threshold is
+        covering = FuzzyCovering("c", self.U, self.members(), True)
+        assert covering.gamma is True and validate_covering(covering).ok
 
 
 class TestBuildFromReports:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fuzzycover.exact import MICRO, format_scaled, parse_scaled
@@ -116,6 +118,41 @@ class TestTable:
             for i, name in enumerate(space.universe.objects):
                 assert table.rows[i] == fuzzy_gamma_neighborhood(space, name)
                 assert table.distinct_sigma[table.index[i]] == table.rows[i].sigma_count()
+
+
+def _naive_table(vectors, gamma):
+    """Per-object signatures, slot index and distinct rows by plain loops."""
+    slots, index = {}, []
+    for i in range(len(vectors[0])):
+        signature = tuple(j for j, v in enumerate(vectors) if v[i] >= gamma)
+        index.append(slots.setdefault(signature, len(slots)))
+    rows = [tuple(map(min, *(vectors[j] for j in signature))) for signature in slots]
+    return list(slots), tuple(index), rows
+
+
+@pytest.mark.parametrize("n", (2, 97, 300))
+def test_forty_members_against_the_naive_signatures(n):
+    # more members than one 31-bit word holds: objects 0 and 1 differ only in
+    # member 35, so a signature cut down to one word would merge their rows
+    rng = random.Random(n)
+    grid = (0, 300_000, 600_000, 900_000, MICRO)
+    matrix = [[rng.choice(grid) for _ in range(n)] for _ in range(40)]
+    for row in matrix:
+        row[1] = row[0] = row[0] or 300_000  # below gamma: keeps every member non-empty
+    matrix[35][0], matrix[35][1] = MICRO, 0
+    u = Universe(tuple(f"o{i}" for i in range(n)))
+    members = tuple((f"m{j}", FuzzySet(u, tuple(row))) for j, row in enumerate(matrix))
+    space = ApproximationSpace(u, FuzzyCovering("wide", u, members, 600_000))
+    signatures, index, rows = _naive_table(matrix, 600_000)
+    table = build_table(space)
+    assert table.index == index
+    assert table.distinct == tuple(rows)
+    assert table.distinct_sigma == tuple(map(sum, rows))
+    assert index[0] != index[1] and 35 in signatures[index[0]]
+    for i, name in enumerate(u.objects):
+        names = tuple(f"m{j}" for j in signatures[index[i]])
+        assert qualifying_members(space, i) == names
+        assert fuzzy_gamma_neighborhood(space, name).memberships == rows[index[i]]
 
 
 def test_property_suite():

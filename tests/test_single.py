@@ -33,6 +33,7 @@ from fuzzycover.neighborhood import build_table, fuzzy_gamma_neighborhood
 
 from props import (
     suite_dq_decomposition,
+    suite_duality,
     suite_grade_laws,
     suite_prob_laws,
     suite_regions,
@@ -249,6 +250,10 @@ def test_property_suites_smoke():
     assert suite_grade_laws(seed=3, count=150) == 150
     assert suite_dq_decomposition(seed=3, count=150) == 150
     assert suite_regions(seed=3, count=150) == 150
+
+
+def test_duality_suite():
+    assert suite_duality(seed=3, count=150) == 150
 
 
 # overlap/mass kernel calls per family on one covering, as (residual,

@@ -4,6 +4,8 @@ A table's rows are walked in one place, `single._meet_sums`, which keeps the
 sums of each target vector in the table's store, one per distinct row; every
 overlap, mass and P reads them from there.  The neighborhood module builds
 its meets with `lanes.meet` directly and keeps no per-name row lookup.
+Whether a member's degree reaches gamma is decided by one lane test, in
+`FuzzyCovering.cuts`; validation and the neighborhoods read its cuts.
 """
 
 import ast
@@ -56,3 +58,35 @@ def test_neighborhood_keeps_no_meet_wrapper_or_row_lookup():
     assert {"rows", "distinct"} <= _defined(table.body)
     # per-object values are read through `index` where they are produced
     assert "sigma" not in _defined(table.body)
+
+
+def _compares_gamma(tree) -> bool:
+    """Whether some comparison in `tree` has a `gamma` or `.gamma` operand."""
+    return any(
+        isinstance(operand, ast.Name) and operand.id == "gamma"
+        or isinstance(operand, ast.Attribute) and operand.attr == "gamma"
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+    )
+
+
+def test_one_lane_test_decides_gamma():
+    assert _lanes_references("at_least") == [("model", "FuzzyCovering")]
+    [covering] = [n for n in _tree("model").body
+                  if isinstance(n, ast.ClassDef) and n.name == "FuzzyCovering"]
+    users = [f.name for f in covering.body if isinstance(f, ast.FunctionDef)
+             and "at_least" in {getattr(n, "attr", None) for n in ast.walk(f)}]
+    assert users == ["cuts"]
+    [validate] = [n for n in _tree("model").body
+                  if isinstance(n, ast.FunctionDef) and n.name == "validate_covering"]
+    assert not _compares_gamma(validate)
+    assert not _compares_gamma(_tree("neighborhood"))
+    # the model still range-checks gamma itself, which the helper must see
+    assert _compares_gamma(covering)
+
+
+def test_per_object_signature_helpers_are_gone():
+    assert not {"_signature", "_vectors"} & _defined(_tree("neighborhood").body)
+    [fuzzy_set] = [n for n in _tree("model").body
+                   if isinstance(n, ast.ClassDef) and n.name == "FuzzySet"]
+    assert "is_empty" not in _defined(fuzzy_set.body)
