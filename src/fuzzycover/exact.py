@@ -16,6 +16,9 @@ MICRO = 10**6
 # ASCII digits only: `\d` would also accept other scripts' digits ("٠.٥", "１").
 # Matched whole, without stripping, so padding such as " 0.5" is refused.
 _DECIMAL_RE = re.compile(r"(-)?([0-9]+)(?:\.([0-9]{1,6}))?")
+# a degree in [0, 1] as `format_scaled` writes it: "0", "1", or "0." and at
+# most 6 digits, the last of them not 0
+CANONICAL_DEGREE_RE = re.compile(r"0|1|0\.[0-9]{0,5}[1-9]")
 
 
 class DecimalFormatError(ValueError):

@@ -5,7 +5,10 @@ Everything is immutable after construction and all arithmetic is exact
 
   (1) every member is non-empty (some degree > 0), and
   (2) every object reaches degree >= gamma in at least one member: some
-      member's gamma-cut (`FuzzyCovering.cuts`, packed lanes) holds it.
+      member's gamma-cut (`FuzzyCovering.cuts`) holds it.
+
+A covering packs each member into lanes (`lanes.pack`) once, when it is
+built; its cuts, its validation and its neighborhood table read those ints.
 
 Coverings can be constructed in an invalid state so that validation can be
 reported on raw data; approximation spaces refuse invalid coverings.
@@ -190,6 +193,8 @@ class FuzzyCovering:
     universe: Universe
     members: tuple[tuple[str, FuzzySet], ...]
     gamma: int
+    # each member's degrees as packed lanes (`lanes.pack`), packed once here
+    packed: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = tuple((str(n), s) for n, s in self.members)
@@ -210,6 +215,7 @@ class FuzzyCovering:
             raise StructuralError(
                 f"gamma must be in (0, 1], got {format_scaled(self.gamma)}"
             )
+        object.__setattr__(self, "packed", tuple(lanes.pack(s.memberships) for _, s in members))
 
     @property
     def member_names(self) -> tuple[str, ...]:
@@ -231,7 +237,7 @@ class FuzzyCovering:
     def cuts(self) -> tuple[int, ...]:
         """Each member's gamma-cut: bit 31 of each lane where its degree reaches gamma."""
         gamma, n = self.gamma, self.universe.size
-        return tuple(lanes.at_least(lanes.pack(s.memberships), gamma, n) for s in self.member_sets)
+        return tuple(lanes.at_least(v, gamma, n) for v in self.packed)
 
 
 def validate_covering(covering: FuzzyCovering) -> ValidationReport:

@@ -10,8 +10,9 @@ N_x depends only on the *signature* of x, its column of the members'
 gamma-cuts (`FuzzyCovering.cuts`), so objects with equal signatures share one
 row.  A table stores the d distinct rows, their sigma-counts and an index
 from each object to its row; building it costs one cut per member and d
-meets, not a Python test per (object, member), and operators evaluate each
-distinct row once.  Each row is stored packed, one int with a 32-bit lane per
+meets of the members the covering packed once (`FuzzyCovering.packed`), not
+a Python test per (object, member), and operators evaluate each distinct
+row once.  Each row is stored packed, one int with a 32-bit lane per
 degree (`lanes`), and every meet, here and in the operators, is the exact
 lane meet.  A table also keeps the per-row sums of each target vector it has
 been evaluated against (`sums`), filled by `single._meet_sums`, the one
@@ -29,7 +30,7 @@ from functools import cached_property
 from itertools import compress
 
 from . import lanes
-from .model import ApproximationSpace, FuzzySet, StructuralError
+from .model import ApproximationSpace, FuzzyCovering, FuzzySet, StructuralError
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,21 @@ class NeighborhoodTable:
         return tuple(map(shared.__getitem__, self.index))
 
 
+def _hits(covering: FuzzyCovering, index: int) -> list[int]:
+    """1 for each member whose degree at object `index` reaches gamma, else 0."""
+    n = covering.universe.size
+    return [lanes.unpack(cut >> 31, n)[index] for cut in covering.cuts()]
+
+
 def qualifying_members(space: ApproximationSpace, index: int) -> tuple[str, ...]:
     """Names of covering members whose degree at the object reaches gamma."""
-    hits = (lanes.unpack(cut >> 31, space.universe.size)[index] for cut in space.covering.cuts())
-    return tuple(compress(space.covering.member_names, hits))
+    return tuple(compress(space.covering.member_names, _hits(space.covering, index)))
 
 
 def fuzzy_gamma_neighborhood(space: ApproximationSpace, name: str) -> FuzzySet:
     """Pointwise min of all members with degree >= gamma at the object."""
-    members, n = dict(space.covering.members), space.universe.size
-    qualifying = qualifying_members(space, space.universe.index(name))
-    row = lanes.meet((lanes.pack(members[m].memberships) for m in qualifying), n)
+    covering, n = space.covering, space.universe.size
+    row = lanes.meet(compress(covering.packed, _hits(covering, space.universe.index(name))), n)
     return FuzzySet(space.universe, lanes.unpack(row, n))
 
 
@@ -94,8 +99,7 @@ def build_table(space: ApproximationSpace) -> NeighborhoodTable:
     covering, n = space.covering, space.universe.size
     signatures = list(zip(*(lanes.unpack(cut >> 31, n) for cut in covering.cuts())))
     slots = {signature: row for row, signature in enumerate(dict.fromkeys(signatures))}
-    members = tuple(lanes.pack(s.memberships) for s in covering.member_sets)
     # the covering condition guarantees every signature is non-empty
-    packed = tuple(lanes.meet(compress(members, signature), n) for signature in slots)
+    packed = tuple(lanes.meet(compress(covering.packed, signature), n) for signature in slots)
     sigma = tuple(lanes.lane_sum(row, n) for row in packed)
     return NeighborhoodTable(space, packed, sigma, tuple(map(slots.__getitem__, signatures)))

@@ -32,6 +32,13 @@ reported at the path of the block it came from.  Emitted
 files are canonical: universe order everywhere, minimal decimal strings,
 two-space indentation, sorted result keys.
 
+Degrees are read while the JSON is parsed: the object hook turns each
+`degrees` list of canonical degree strings into micro-units as the parser
+closes its object, parsing each distinct spelling once, so a file's degree
+strings never all exist at once.  Any other list (another spelling, a bad
+item, a target) is read afterwards, where its errors are reported at their
+paths.  `load` frees the file's text before the model is built.
+
 A result file is one document: `result_document` builds it from the result
 (`operator`, `params`, `lower`, `upper`) and each field the command gives
 (`covering` or `coverings`, `target`, `residual_mode`, `regions`,
@@ -53,7 +60,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .exact import DecimalFormatError, format_scaled, parse_degree
+from .exact import CANONICAL_DEGREE_RE, DecimalFormatError, format_scaled, parse_degree
 from .model import (
     FuzzyCovering,
     FuzzySet,
@@ -76,8 +83,31 @@ def _fail(path: str, msg: str) -> "ParseError":
 TOP_LEVEL_KEYS = ("universe", "coverings", "experts", "targets")
 
 
-def _unique_keys(origin: str):
-    """json object hook that refuses a key repeated inside one object."""
+class _Read:
+    """A `degrees` list the object hook read: `values`, its items in micro-units.
+
+    The hook reads only canonical spellings, so the list can be written back:
+    the repr, which an error about an enclosing value prints, is the list's own.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        self.values = values
+
+    def __repr__(self) -> str:
+        return repr(list(map(format_scaled, self.values)))
+
+
+def _unique_keys(origin: str, scaled: dict[str, int]):
+    """json object hook that refuses a key repeated inside one object, and reads
+    a `degrees` list of canonical degree strings as a `_Read` of micro-units.
+
+    A member's degree strings are freed as the parser closes it, so a file's
+    strings never all exist at once.  Any other `degrees` value is left as it
+    is, for `_parse_degrees` to read or to report at its path.
+    """
+    odd: set[str] = set()  # spellings parsed so far that `format_scaled` would not write
 
     def build(pairs):
         doc = {}
@@ -85,9 +115,26 @@ def _unique_keys(origin: str):
             if key in doc:
                 raise _fail(origin, f"duplicate key {key!r}")
             doc[key] = value
+        raw = doc.get("degrees")
+        if type(raw) is list and (new := _parse_new(raw, scaled)) is not None:
+            odd.update(itertools.filterfalse(CANONICAL_DEGREE_RE.fullmatch, new))
+            if not odd or odd.isdisjoint(raw):
+                doc["degrees"] = _Read(tuple(map(scaled.__getitem__, raw)))
         return doc
 
     return build
+
+
+def _parse_new(raw: list, scaled: dict[str, int]) -> set[str] | None:
+    """The spellings in `raw` that `scaled` lacked, now parsed into it, each once;
+    None when some item is not a degree string."""
+    try:
+        new = set(raw).difference(scaled)  # only a str can match a key
+        for text in new:
+            scaled[text] = parse_degree(text)
+    except (TypeError, DecimalFormatError):  # an unhashable item, or one that fails
+        return None
+    return new
 
 
 def _writable(name: str, where: str) -> str:
@@ -126,20 +173,19 @@ def _degree(raw, where: str) -> int:
 
 
 def _parse_degrees(raw, universe: Universe, where: str, scaled: dict[str, int]) -> FuzzySet:
-    """`raw` as a FuzzySet; `scaled` maps each spelling the file has parsed to its value."""
-    if not isinstance(raw, list):
+    """`raw` as a FuzzySet: a vector the object hook read, or a list read here."""
+    if type(raw) is _Read:
+        raw = raw.values
+    elif not isinstance(raw, list):
         raise _fail(where, "expected a list of degree strings")
     if len(raw) != universe.size:
         raise _fail(where, f"vector length {len(raw)} != universe size {universe.size}")
-    if set(map(type, raw)) == {str}:  # set() needs hashable items; others fail below
-        try:
-            for text in set(raw).difference(scaled):
-                scaled[text] = parse_degree(text)
-        except DecimalFormatError:
-            pass  # the scan below reports the first bad position
+    if type(raw) is list:  # a target, a list with other spellings, or one with a bad item
+        if _parse_new(raw, scaled) is None:  # the scan reports the first bad position
+            raw = tuple(_degree(item, f"{where}[{j}]") for j, item in enumerate(raw))
         else:
-            return FuzzySet(universe, tuple(map(scaled.__getitem__, raw)))
-    return FuzzySet(universe, tuple(_degree(item, f"{where}[{j}]") for j, item in enumerate(raw)))
+            raw = tuple(map(scaled.__getitem__, raw))
+    return FuzzySet(universe, raw)
 
 
 def _parse_named_sets(
@@ -178,8 +224,31 @@ class SystemFile:
 
 
 def loads(text: str, origin: str = "<string>") -> SystemFile:
+    return _system(*_decode(text, origin), origin)
+
+
+def load(path: str) -> SystemFile:
+    # the text is only an argument of `_decode`, so it is freed before the model is built
+    return _system(*_decode(_read(path), path), path)
+
+
+def _read(path: str) -> str:
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys(origin))
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ParseError(f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise _fail(path, f"not UTF-8: {e.reason} at byte {e.start}") from None
+
+
+def _decode(text: str, origin: str) -> tuple[object, dict[str, int]]:
+    """The JSON document of `text`, its degree lists read by the object hook,
+    and the table of the spellings parsed so far."""
+    # a file repeats a few degree spellings many times: each is parsed once
+    scaled: dict[str, int] = {}
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys(origin, scaled))
     except ParseError:
         raise
     except json.JSONDecodeError as e:
@@ -187,6 +256,11 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
     except (ValueError, RecursionError) as e:
         # an integer past the interpreter's digit limit, or nesting past its recursion limit
         raise _fail(origin, f"invalid JSON: {e}") from None
+    return doc, scaled
+
+
+def _system(doc, scaled: dict[str, int], origin: str) -> SystemFile:
+    """The system a decoded document describes, each shape rule checked at its path."""
     if not isinstance(doc, dict):
         raise _fail(origin, "top level must be an object")
     unknown = [key for key in doc if key not in TOP_LEVEL_KEYS]
@@ -203,8 +277,6 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
     for i, n in enumerate(universe.objects):
         _writable(n, f"{origin}.universe[{i}]")
 
-    # a file repeats a few degree spellings many times: each is parsed once
-    scaled: dict[str, int] = {}
     coverings: list[FuzzyCovering] = []
     for i, block in enumerate(_optional(doc, "coverings", list, origin)):
         where = f"{origin}.coverings[{i}]"
@@ -244,17 +316,6 @@ def loads(text: str, origin: str = "<string>") -> SystemFile:
     except StructuralError as e:
         raise _fail(origin, str(e)) from None
     return SystemFile(system, targets)
-
-
-def load(path: str) -> SystemFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ParseError(f"{path}: {e.strerror or e}")
-    except UnicodeDecodeError as e:
-        raise _fail(path, f"not UTF-8: {e.reason} at byte {e.start}") from None
-    return loads(text, origin=path)
 
 
 def dumps(sf: SystemFile) -> str:

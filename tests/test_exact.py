@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzycover.exact import (
+    CANONICAL_DEGREE_RE,
     MICRO,
     DecimalFormatError,
     format_scaled,
@@ -95,6 +96,25 @@ def test_format_scaled(value, text):
 @given(st.integers(min_value=0, max_value=MICRO))
 def test_degree_round_trip(value):
     assert parse_degree(format_scaled(value)) == value
+    assert CANONICAL_DEGREE_RE.fullmatch(format_scaled(value))
+
+
+# spellings of degrees and near-degrees: signs, leading zeros, trailing zeros
+spellings = st.builds(
+    lambda sign, whole, frac: sign + whole + (f".{frac}" if frac else ""),
+    st.sampled_from(["", "-"]),
+    st.sampled_from(["0", "1", "00", "01"]),
+    st.text("0123456789", max_size=6) | st.sampled_from(["0", "5", "50", "000000"]),
+)
+
+
+@given(spellings)
+def test_canonical_degree_re_accepts_only_what_format_scaled_writes(text):
+    try:
+        value = parse_degree(text)
+    except DecimalFormatError:
+        return
+    assert bool(CANONICAL_DEGREE_RE.fullmatch(text)) == (format_scaled(value) == text)
 
 
 @given(st.integers(min_value=-(10**9), max_value=10**9))

@@ -158,3 +158,34 @@ class TestVectorOrder:
 def test_property_suites_smoke():
     assert suite_mg_decomposition(seed=5, count=120) == 120
     assert suite_mg_laws(seed=5, count=120) == 120
+
+
+def test_mg_packs_each_member_once(tmp_path, monkeypatch, capsys):
+    """Validation at load, validation again in `space()` and each table all
+    read the lanes a covering packed when it was built."""
+    from fuzzycover import cli, lanes, sysio
+    from fuzzycover.generate import generate_system
+
+    path = tmp_path / "three.json"
+    sysio.dump(generate_system(12, 3, 4, 900_000, 0), str(path))
+    loaded, packed = [], []
+    real_load, real_pack = sysio.load, lanes.pack
+
+    def load(p):
+        loaded.append(real_load(p))
+        return loaded[-1]
+
+    def pack(xs):
+        packed.append(xs)  # kept, so each id stays the vector's own
+        return real_pack(xs)
+
+    monkeypatch.setattr(sysio, "load", load)
+    monkeypatch.setattr(lanes, "pack", pack)
+    argv = ["mg", str(path), "--op", "mg-dq1", "--target", "X", "--alpha", "0.75",
+            "--beta", "0.25", "--k", "2"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    members = [id(s.memberships) for c in loaded[0].system.coverings for s in c.member_sets]
+    assert len(set(members)) == 3 * 4
+    assert sorted(id(xs) for xs in packed if id(xs) in members) == sorted(members)
+    assert len(packed) == 3 * 4 + 3  # and the target, once for each covering's table
