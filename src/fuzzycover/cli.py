@@ -31,10 +31,9 @@ import itertools
 import math
 import os
 import sys
-import tempfile
 
 from . import operators, sysio
-from .exact import DecimalFormatError, format_scaled, parse_degree, parse_scaled
+from .exact import DecimalFormatError, format_each, format_scaled, parse_degree, parse_scaled
 from .model import (
     Grade,
     ParameterError,
@@ -135,6 +134,8 @@ def _emit(text: str, out_path: str | None) -> None:
         if in_place:
             fh = open(path, "w", encoding="utf-8")
         else:
+            import tempfile  # it imports shutil and random, which only a replaced file needs
+
             head, name = os.path.split(path)
             fd, tmp = tempfile.mkstemp(dir=head, prefix=f"{name}.", suffix=".tmp")
             fh = open(fd, "w", encoding="utf-8")
@@ -218,8 +219,8 @@ def cmd_neigh(args) -> int:
     for name in names:
         table = build_table(sf.system.space(name))
         # each distinct row is formatted once and shared by the objects that have it
-        degrees = [list(map(format_scaled, row)) for row in table.distinct]
-        sigma = list(map(format_scaled, table.distinct_sigma))
+        degrees = list(map(format_each, table.distinct))
+        sigma = format_each(table.distinct_sigma)
         if args.format == "csv":
             rows += ([name, obj, *degrees[i], sigma[i]] for obj, i in zip(objects, table.index))
         else:

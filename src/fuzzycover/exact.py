@@ -5,10 +5,15 @@ micro-units (value * 10^6).  Sums of degrees stay integers, and every
 threshold comparison reduces to integer arithmetic, so boundary cases
 (P exactly equal to alpha, an overlap sum exactly equal to k) are decided
 exactly rather than by floating-point luck.
+
+Every degree is written by `format_scaled`: `format_each` writes a vector
+with one call per distinct value, and `format_ratio` writes an exact ratio
+of two sums as `fractions.Fraction` would, without importing it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 MICRO = 10**6
@@ -62,6 +67,19 @@ def format_scaled(value: int) -> str:
     if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:06d}".rstrip("0")
+
+
+def format_each(values) -> list[str]:
+    """`format_scaled` of each value of a sequence, each distinct value formatted once."""
+    text = {v: format_scaled(v) for v in set(values)}
+    return list(map(text.__getitem__, values))
+
+
+def format_ratio(num: int, den: int) -> str:
+    """`str(Fraction(num, den))` for den > 0: the ratio in lowest terms as "a/b",
+    or "a" when b is 1."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def ratio_ge(num: int, den: int, threshold: int) -> bool:

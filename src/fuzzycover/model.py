@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import lanes
-from .exact import MICRO, format_scaled, parse_degree, parse_scaled
+from .exact import MICRO, format_each, format_scaled, parse_degree, parse_scaled
 
 _NOT_A_SEQUENCE = (str, set, frozenset, type({}.keys()), type({}.values()), type({}.items()))
 
@@ -155,9 +155,7 @@ class FuzzySet:
 
     def degree_strings(self) -> tuple[str, ...]:
         """Each degree as a decimal string; each distinct value is formatted once."""
-        ms = self.memberships
-        text = {v: format_scaled(v) for v in set(ms)}
-        return tuple(map(text.__getitem__, ms))
+        return tuple(format_each(self.memberships))
 
 
 @dataclass(frozen=True)
@@ -252,6 +250,14 @@ def validate_covering(covering: FuzzyCovering) -> ValidationReport:
     return ValidationReport(covering.name, empty, uncovered)
 
 
+def _valid(covering: FuzzyCovering) -> FuzzyCovering:
+    """`covering` when `validate_covering` finds it valid; else ValidationError with the report."""
+    report = validate_covering(covering)
+    if not report.ok:
+        raise ValidationError(report)
+    return covering
+
+
 def build_covering_from_reports(
     name: str,
     reports: Sequence[tuple[str, Sequence[tuple[str, FuzzySet]]]],
@@ -281,11 +287,7 @@ def build_covering_from_reports(
         (n, functools.reduce(FuzzySet.union, column))
         for n, column in zip(value_names, columns)
     )
-    covering = FuzzyCovering(name, universe, members, gamma)
-    report = validate_covering(covering)
-    if not report.ok:
-        raise ValidationError(report)
-    return covering
+    return _valid(FuzzyCovering(name, universe, members, gamma))
 
 
 @dataclass(frozen=True)
@@ -298,9 +300,7 @@ class ApproximationSpace:
     def __post_init__(self):
         if self.covering.universe != self.universe:
             raise StructuralError("covering is over a different universe")
-        report = validate_covering(self.covering)
-        if not report.ok:
-            raise ValidationError(report)
+        _valid(self.covering)
 
 
 @dataclass(frozen=True)
@@ -321,9 +321,7 @@ class MultiGranulationSystem:
         for c in coverings:
             if c.universe != self.universe:
                 raise StructuralError(f"covering {c.name!r} is over a different universe")
-            report = validate_covering(c)
-            if not report.ok:
-                raise ValidationError(report)
+            _valid(c)
 
     @property
     def size(self) -> int:

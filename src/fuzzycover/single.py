@@ -35,17 +35,21 @@ the one-test operators.  The multi-granulation operators (multi.py) are one
 entry per covering under the same join.  `approximation` turns the flags
 into object sets with one parameter echo for every family, and regions are
 the set algebra of one (lower, upper) pair.
+
+Diagnostics write P as `exact.format_ratio` does, the text of
+`fractions.Fraction`; only `cond_prob`, which returns a Fraction, and
+`threshold_form_check`, which checks the ratio forms with Fractions, import
+`fractions`, where they run, so no command loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import compress
 
 from . import lanes
-from .exact import MICRO, format_scaled, ratio_ge
+from .exact import MICRO, format_ratio, format_scaled, ratio_ge
 from .model import FuzzySet, Grade, ParameterError, ThresholdPair
 from .neighborhood import NeighborhoodTable
 
@@ -136,8 +140,10 @@ def mass_sums(
     return _meet_sums(table, tuple(MICRO - v for v in target.memberships))
 
 
-def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str) -> Fraction:
-    """Exact conditional probability of the target given the neighborhood of x."""
+def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str):
+    """Exact conditional probability of the target given the neighborhood of x, a Fraction."""
+    from fractions import Fraction  # no command reads it
+
     ov = overlap_sums(table, target)
     j = table.index[table.universe.index(name)]
     return Fraction(ov[j], table.distinct_sigma[j])
@@ -306,6 +312,8 @@ def threshold_form_check(
     (P >= k/sigma) disagrees with the defining strict predicate exactly when
     overlap == k; those objects are flagged.
     """
+    from fractions import Fraction  # only the differential check runs this
+
     ov = overlap_sums(table, target)
     mass = mass_sums(table, target, ResidualMode.RESIDUAL)
     flagged, hold = [], True
@@ -335,7 +343,7 @@ def diagnostics(table: NeighborhoodTable, target: FuzzySet) -> list[dict[str, st
         {
             "overlap": format_scaled(o),
             "sigma": format_scaled(s),
-            "p": str(Fraction(o, s)),
+            "p": format_ratio(o, s),
             "residual_mass": format_scaled(r),
             "complement_mass": format_scaled(c),
         }

@@ -35,9 +35,14 @@ two-space indentation, sorted result keys.
 Degrees are read while the JSON is parsed: the object hook turns each
 `degrees` list of canonical degree strings into micro-units as the parser
 closes its object, parsing each distinct spelling once, so a file's degree
-strings never all exist at once.  Any other list (another spelling, a bad
-item, a target) is read afterwards, where its errors are reported at their
-paths.  `load` frees the file's text before the model is built.
+strings never all exist at once.  A list is read whole or not at all: its
+new spellings enter the file's spelling table only when the hook reads it,
+so the table holds canonical spellings only until the parser is done, and
+what the hook does with one list never depends on the order of a set.  Any
+other list (another spelling, a bad item, a target) is read afterwards,
+where its errors are reported at their paths.  `load` frees the file's text
+before the model is built.  Every vector is written back through
+`exact.format_each`, one `format_scaled` call per distinct value.
 
 A result file is one document: `result_document` builds it from the result
 (`operator`, `params`, `lower`, `upper`) and each field the command gives
@@ -53,6 +58,7 @@ pure-Python encoder, which `indent` would select.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -60,7 +66,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .exact import CANONICAL_DEGREE_RE, DecimalFormatError, format_scaled, parse_degree
+from .exact import CANONICAL_DEGREE_RE, DecimalFormatError, format_each, format_scaled, parse_degree
 from .model import (
     FuzzyCovering,
     FuzzySet,
@@ -96,18 +102,20 @@ class _Read:
         self.values = values
 
     def __repr__(self) -> str:
-        return repr(list(map(format_scaled, self.values)))
+        return repr(format_each(self.values))
 
 
 def _unique_keys(origin: str, scaled: dict[str, int]):
     """json object hook that refuses a key repeated inside one object, and reads
     a `degrees` list of canonical degree strings as a `_Read` of micro-units.
 
-    A member's degree strings are freed as the parser closes it, so a file's
-    strings never all exist at once.  Any other `degrees` value is left as it
-    is, for `_parse_degrees` to read or to report at its path.
+    A list is read whole or not at all: its new spellings enter `scaled` only
+    when every one is canonical, so while the parser runs `scaled` holds
+    canonical spellings only and each list the hook reads prints as the file
+    writes it.  A member's degree strings are freed as the parser closes it,
+    so a file's strings never all exist at once.  Any other `degrees` value is
+    left as it is, for `_parse_degrees` to read or to report at its path.
     """
-    odd: set[str] = set()  # spellings parsed so far that `format_scaled` would not write
 
     def build(pairs):
         doc = {}
@@ -116,25 +124,22 @@ def _unique_keys(origin: str, scaled: dict[str, int]):
                 raise _fail(origin, f"duplicate key {key!r}")
             doc[key] = value
         raw = doc.get("degrees")
-        if type(raw) is list and (new := _parse_new(raw, scaled)) is not None:
-            odd.update(itertools.filterfalse(CANONICAL_DEGREE_RE.fullmatch, new))
-            if not odd or odd.isdisjoint(raw):
-                doc["degrees"] = _Read(tuple(map(scaled.__getitem__, raw)))
+        if type(raw) is list:
+            # an unhashable item, or one that is not a string, leaves the list
+            with contextlib.suppress(TypeError):
+                new = set(raw).difference(scaled)
+                if all(map(CANONICAL_DEGREE_RE.fullmatch, new)):
+                    doc["degrees"] = _Read(_parse_new(raw, new, scaled))
         return doc
 
     return build
 
 
-def _parse_new(raw: list, scaled: dict[str, int]) -> set[str] | None:
-    """The spellings in `raw` that `scaled` lacked, now parsed into it, each once;
-    None when some item is not a degree string."""
-    try:
-        new = set(raw).difference(scaled)  # only a str can match a key
-        for text in new:
-            scaled[text] = parse_degree(text)
-    except (TypeError, DecimalFormatError):  # an unhashable item, or one that fails
-        return None
-    return new
+def _parse_new(raw: list, new: set, scaled: dict[str, int]) -> tuple[int, ...]:
+    """`raw` in micro-units, after each spelling of `new` (those `scaled` lacks)
+    is parsed into `scaled`; DecimalFormatError when one fails."""
+    scaled.update(zip(new, map(parse_degree, new)))
+    return tuple(map(scaled.__getitem__, raw))
 
 
 def _writable(name: str, where: str) -> str:
@@ -181,10 +186,10 @@ def _parse_degrees(raw, universe: Universe, where: str, scaled: dict[str, int]) 
     if len(raw) != universe.size:
         raise _fail(where, f"vector length {len(raw)} != universe size {universe.size}")
     if type(raw) is list:  # a target, a list with other spellings, or one with a bad item
-        if _parse_new(raw, scaled) is None:  # the scan reports the first bad position
+        try:
+            raw = _parse_new(raw, set(raw).difference(scaled), scaled)
+        except (TypeError, DecimalFormatError):  # the scan reports the first bad position
             raw = tuple(_degree(item, f"{where}[{j}]") for j, item in enumerate(raw))
-        else:
-            raw = tuple(map(scaled.__getitem__, raw))
     return FuzzySet(universe, raw)
 
 

@@ -8,6 +8,8 @@ from fuzzycover.exact import (
     CANONICAL_DEGREE_RE,
     MICRO,
     DecimalFormatError,
+    format_each,
+    format_ratio,
     format_scaled,
     parse_degree,
     parse_scaled,
@@ -138,3 +140,18 @@ def test_ratio_agrees_with_fractions(num, den, threshold):
     p = Fraction(num, den)
     t = Fraction(threshold, MICRO)
     assert ratio_ge(num, den, threshold) == (p >= t)
+
+
+
+@given(st.integers(min_value=-(10**12), max_value=10**12),
+       st.integers(min_value=1, max_value=10**12))
+def test_format_ratio_is_str_of_fraction(num, den):
+    from fractions import Fraction
+
+    assert format_ratio(num, den) == str(Fraction(num, den))
+
+
+@given(st.lists(st.integers(min_value=-2 * MICRO, max_value=2 * MICRO)
+                | st.sampled_from([0, 500_000, MICRO])))
+def test_format_each_is_format_scaled_of_each(values):
+    assert format_each(values) == list(map(format_scaled, values))

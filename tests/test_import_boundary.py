@@ -39,6 +39,15 @@ def _sources():
     return paths
 
 
+def _run(script: str, *options: str, **kwargs) -> subprocess.CompletedProcess:
+    """`script` in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
+    )}
+    return subprocess.run([sys.executable, *options, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, **kwargs)
+
+
 def test_package_imports_only_stdlib_and_itself():
     modules = {p.stem for p in _sources()}
     for path in _sources():
@@ -55,24 +64,17 @@ def test_oracle_imports_only_data_types():
 
 def test_cli_import_leaves_out_check_and_gen_modules():
     # every command start compiles what `import fuzzycover.cli` pulls in
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
-    )}
     script = (
         "import sys, fuzzycover.cli\n"
         "print(*(m for m in ('checks', 'oracle', 'generate') if 'fuzzycover.' + m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = _run(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
 
 
 def test_well_formed_commands_import_nothing_more():
     # argparse is built only for help and errors; building it imports `locale` (gettext)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
-    )}
     script = (
         "import sys, fuzzycover.cli\n"
         "before = set(sys.modules)\n"
@@ -81,6 +83,16 @@ def test_well_formed_commands_import_nothing_more():
         "     '--k', '2', '--target', 'X'])]\n"
         "print(codes, sorted(set(sys.modules) - before), file=sys.stderr)"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, cwd=PACKAGE_DIR.parents[1] / "fixtures")
+    proc = _run(script, cwd=PACKAGE_DIR.parents[1] / "fixtures")
     assert proc.stderr == "[0, 0] []\n"
+
+
+def test_cli_import_leaves_out_fractions_and_tempfile():
+    # -S: a site .pth file of some interpreters imports tempfile at start-up
+    script = (
+        "import sys, fuzzycover.cli\n"
+        "print(*(m for m in ('fractions', 'decimal', 'tempfile') if m in sys.modules))"
+    )
+    proc = _run(script, "-S")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

@@ -6,7 +6,9 @@ behind `sysio.dumps` the same call without `sort_keys`, for any document of
 str, list and dict; any other type raises TypeError.  `render_result_csv`
 builds its table by columns and must give the bytes of the per-object row loop
 kept below as the reference.  Rendering a large `neigh` document must not
-need much more memory than its output.
+need much more memory than its output.  Every degree vector is written
+through `exact.format_each`, one `format_scaled` call per distinct value,
+with the bytes of one call per degree.
 """
 
 import json
@@ -14,10 +16,11 @@ import tracemalloc
 
 import pytest
 
-from fuzzycover import cli, model, sysio
+from fuzzycover import cli, exact, model, sysio
 from fuzzycover.exact import format_scaled, parse_scaled
 from fuzzycover.generate import generate_system
 from fuzzycover.model import Universe
+from fuzzycover.neighborhood import build_table
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -144,8 +147,8 @@ def test_dumps_formats_each_distinct_degree_once(monkeypatch, fixtures_dir):
                         lambda s: tuple(map(format_scaled, s.memberships)))
     expected = [sysio.dumps(sf) for sf in files]
     monkeypatch.undo()
-    calls, fmt = [], model.format_scaled
-    monkeypatch.setattr(model, "format_scaled", lambda v: calls.append(v) or fmt(v))
+    calls, fmt = [], exact.format_scaled
+    monkeypatch.setattr(exact, "format_scaled", lambda v: calls.append(v) or fmt(v))
     assert [sysio.dumps(sf) for sf in files] == expected
     for sf in files:
         members = [s for c in sf.system.coverings for s in c.member_sets]
@@ -153,6 +156,48 @@ def test_dumps_formats_each_distinct_degree_once(monkeypatch, fixtures_dir):
             calls.clear()
             assert vector.degree_strings() == tuple(map(fmt, vector.memberships))
             assert sorted(calls) == sorted(set(vector.memberships))
+
+
+def _neigh_outputs(paths, capsys):
+    """(exit code, stdout) of `neigh` on each path, as JSON and as CSV."""
+    outputs = []
+    for path in paths:
+        for fmt in ("json", "csv"):
+            code = cli.main(["neigh", str(path), "--format", fmt])
+            outputs.append((code, capsys.readouterr().out))
+    return outputs
+
+
+def test_neigh_bytes_match_per_degree_formatting(capsys, monkeypatch, fixtures_dir, tmp_path):
+    paths = sorted(fixtures_dir.glob("*.json")) + [tmp_path / "gen.json"]
+    sysio.dump(generate_system(120, 2, 8, parse_scaled("0.9"), 0), str(paths[-1]))
+    # the reference: one `format_scaled` call per degree
+    monkeypatch.setattr(cli, "format_each", lambda values: list(map(format_scaled, values)))
+    expected = _neigh_outputs(paths, capsys)
+    monkeypatch.undo()
+    assert _neigh_outputs(paths, capsys) == expected
+    assert all(code == 0 for code, _ in expected)
+
+
+def test_neigh_formats_each_distinct_value_of_a_row_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "gen.json"
+    sysio.dump(generate_system(250, 3, 16, parse_scaled("0.9"), 0), str(path))
+    sf = sysio.load(str(path))
+    tables = [build_table(sf.system.space(c.name)) for c in sf.system.coverings]
+    # each distinct value of each distinct row, each covering's sigmas, and its gamma
+    bound = sum(
+        sum(len(set(row)) for row in t.distinct) + len(set(t.distinct_sigma)) + 1 for t in tables
+    )
+    degrees = sum(len(t.distinct) * sf.universe.size for t in tables)
+    assert bound < degrees / 10
+    calls, fmt = [], exact.format_scaled
+    for module in (exact, cli):
+        monkeypatch.setattr(module, "format_scaled", lambda v: calls.append(v) or fmt(v))
+    for fmt_flag in ("json", "csv"):
+        calls.clear()
+        assert cli.main(["neigh", str(path), "--format", fmt_flag]) == 0
+        assert 0 < len(calls) <= bound
+    capsys.readouterr()
 
 
 def reference_result_csv(doc: dict, universe: Universe) -> str:
