@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from . import lanes
@@ -58,12 +59,15 @@ class Universe:
         object.__setattr__(self, "objects", objects)
         if len(objects) == 0:
             raise StructuralError("universe must contain at least one object")
-        # the type first: an unhashable name would break the uniqueness check
-        if any(not isinstance(o, str) or not o for o in objects):
+        # the type first: an unhashable name would break the position dict
+        if not all(map(isinstance, objects, repeat(str))):
             raise StructuralError("universe object names must be non-empty strings")
-        if len(set(objects)) != len(objects):
+        pos = dict(zip(objects, range(len(objects))))
+        if "" in pos:
+            raise StructuralError("universe object names must be non-empty strings")
+        if len(pos) != len(objects):
             raise StructuralError("universe object names must be unique")
-        object.__setattr__(self, "_pos", {name: i for i, name in enumerate(objects)})
+        object.__setattr__(self, "_pos", pos)
 
     @property
     def size(self) -> int:

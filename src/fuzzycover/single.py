@@ -34,7 +34,13 @@ joined by `all` or `any`, so they are exactly the intersection or union of
 the one-test operators.  The multi-granulation operators (multi.py) are one
 entry per covering under the same join.  `approximation` turns the flags
 into object sets with one parameter echo for every family, and regions are
-the set algebra of one (lower, upper) pair.
+the set algebra of one (lower, upper) pair, each region one `compress` pass
+over the flags.
+
+Diagnostics stay per row as well: `diagnostics` returns a `Diagnostics`
+value holding the d formatted rows, the table's index and the object names,
+which reads as the sequence of per-object entries and which the writers in
+`sysio` render without building one dict per object.
 
 Diagnostics write P as `exact.format_ratio` does, the text of
 `fractions.Fraction`; only `cond_prob`, which returns a Fraction, and
@@ -44,6 +50,8 @@ Diagnostics write P as `exact.format_ratio` does, the text of
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -137,7 +145,7 @@ def mass_sums(
     if mode is ResidualMode.RESIDUAL:
         ov = overlap_sums(table, target)
         return tuple(s - o for s, o in zip(table.distinct_sigma, ov))
-    return _meet_sums(table, tuple(MICRO - v for v in target.memberships))
+    return _meet_sums(table, tuple(map(MICRO.__sub__, target.memberships)))
 
 
 def cond_prob(table: NeighborhoodTable, target: FuzzySet, name: str):
@@ -217,14 +225,16 @@ def _partition(
     UBO = upper - lower, BOU = LBO | UBO; the three-way split omits LBO/UBO."""
     objects = table.universe.objects
     lower, upper = lower_upper
-    cells = {(True, True): [], (False, False): [], (True, False): [], (False, True): []}
-    for name, lo, up in zip(objects, lower, upper):
-        cells[lo, up].append(name)
-    pos, neg, lbo, ubo = map(tuple, cells.values())
-    bou = tuple(n for n, lo, up in zip(objects, lower, upper) if lo != up)
+
+    def where(test, *flag_lists):
+        return tuple(compress(objects, map(test, *flag_lists)))
+
+    pos, bou = where(operator.and_, lower, upper), where(operator.ne, lower, upper)
+    neg = where(operator.not_, map(operator.or_, lower, upper))
     if kind == "three":
         return RegionPartition(kind, pos, bou, neg)
-    return RegionPartition(kind, pos, bou, neg, lbo, ubo)
+    return RegionPartition(kind, pos, bou, neg, where(operator.gt, lower, upper),
+                           where(operator.lt, lower, upper))
 
 
 def prob_approx(
@@ -330,11 +340,32 @@ def threshold_form_check(
     return ThresholdFormReport(tuple(names), hold)
 
 
-def diagnostics(table: NeighborhoodTable, target: FuzzySet) -> list[dict[str, str]]:
+class Diagnostics(Sequence):
+    """Per-object exact quantities, held once per distinct row.
+
+    `rows` holds the formatted values of each distinct row, `index` each
+    object's row and `names` the object names, in universe order.  As a
+    read-only sequence it gives one `{"object": name, **row}` dict per object;
+    the writers in `sysio` read the three fields and never build those dicts.
+    """
+
+    __slots__ = ("rows", "index", "names")
+
+    def __init__(self, rows: list[dict[str, str]], index, names: tuple[str, ...]):
+        self.rows, self.index, self.names = rows, index, names
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i: int) -> dict[str, str]:
+        return {"object": self.names[i], **self.rows[self.index[i]]}
+
+
+def diagnostics(table: NeighborhoodTable, target: FuzzySet) -> Diagnostics:
     """Per-object exact quantities for result files.
 
     Every value depends only on the object's row, so each distinct row is
-    formatted once and shared by the objects that have it.
+    formatted once, and the objects that have it share it through the index.
     """
     ov = overlap_sums(table, target)
     res = mass_sums(table, target, ResidualMode.RESIDUAL)
@@ -349,4 +380,4 @@ def diagnostics(table: NeighborhoodTable, target: FuzzySet) -> list[dict[str, st
         }
         for o, s, r, c in zip(ov, table.distinct_sigma, res, comp)
     ]
-    return [{"object": x, **row} for x, row in zip(table.universe.objects, _spread(table, rows))]
+    return Diagnostics(rows, table.index, table.universe.objects)

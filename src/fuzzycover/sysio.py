@@ -53,7 +53,10 @@ document as it is.
 Byte contract: `render_json(doc)` is exactly `json.dumps(doc, indent=2,
 sort_keys=True, ensure_ascii=False) + "\n"`, and `dumps` is the same without
 `sort_keys`; one writer (`_json_text`) produces both without json's
-pure-Python encoder, which `indent` would select.
+pure-Python encoder, which `indent` would select.  A `single.Diagnostics`
+value in the document (per-row diagnostics, which json.dumps refuses) is
+written as json.dumps writes `list(value)`, and `render_result_csv` writes it
+as it writes that list; neither writer builds the list.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import csv
 import io
 import itertools
 import json
-import operator
+import re
 from dataclasses import dataclass
 
 from .exact import CANONICAL_DEGREE_RE, DecimalFormatError, format_each, format_scaled, parse_degree
@@ -76,6 +79,7 @@ from .model import (
     ValidationError,
     build_covering_from_reports,
 )
+from .single import Diagnostics
 
 
 class ParseError(ValueError):
@@ -125,11 +129,14 @@ def _unique_keys(origin: str, scaled: dict[str, int]):
             doc[key] = value
         raw = doc.get("degrees")
         if type(raw) is list:
-            # an unhashable item, or one that is not a string, leaves the list
-            with contextlib.suppress(TypeError):
-                new = set(raw).difference(scaled)
-                if all(map(CANONICAL_DEGREE_RE.fullmatch, new)):
-                    doc["degrees"] = _Read(_parse_new(raw, new, scaled))
+            try:  # every spelling already in the table: one pass
+                doc["degrees"] = _Read(tuple(map(scaled.__getitem__, raw)))
+            except (KeyError, TypeError):
+                # an unhashable item, or one that is not a string, leaves the list
+                with contextlib.suppress(TypeError):
+                    new = set(raw).difference(scaled)
+                    if all(map(CANONICAL_DEGREE_RE.fullmatch, new)):
+                        doc["degrees"] = _Read(_parse_new(raw, new, scaled))
         return doc
 
     return build
@@ -187,9 +194,12 @@ def _parse_degrees(raw, universe: Universe, where: str, scaled: dict[str, int]) 
         raise _fail(where, f"vector length {len(raw)} != universe size {universe.size}")
     if type(raw) is list:  # a target, a list with other spellings, or one with a bad item
         try:
-            raw = _parse_new(raw, set(raw).difference(scaled), scaled)
-        except (TypeError, DecimalFormatError):  # the scan reports the first bad position
-            raw = tuple(_degree(item, f"{where}[{j}]") for j, item in enumerate(raw))
+            raw = tuple(map(scaled.__getitem__, raw))
+        except (KeyError, TypeError):
+            try:
+                raw = _parse_new(raw, set(raw).difference(scaled), scaled)
+            except (TypeError, DecimalFormatError):  # the scan reports the first bad position
+                raw = tuple(_degree(item, f"{where}[{j}]") for j, item in enumerate(raw))
     return FuzzySet(universe, raw)
 
 
@@ -279,8 +289,11 @@ def _system(doc, scaled: dict[str, int], origin: str) -> SystemFile:
         universe = Universe(tuple(_need(doc, "universe", list, origin)))
     except StructuralError as e:
         raise _fail(f"{origin}.universe", str(e)) from None
-    for i, n in enumerate(universe.objects):
-        _writable(n, f"{origin}.universe[{i}]")
+    try:  # one encode; the scan names the first name that fails
+        "\n".join(universe.objects).encode("utf-8")
+    except UnicodeEncodeError:
+        for i, n in enumerate(universe.objects):
+            _writable(n, f"{origin}.universe[{i}]")
 
     coverings: list[FuzzyCovering] = []
     for i, block in enumerate(_optional(doc, "coverings", list, origin)):
@@ -377,23 +390,22 @@ _escape = json.encoder.encode_basestring
 
 def _json_text(doc, sort: bool) -> str:
     """`json.dumps(doc, indent=2, sort_keys=sort, ensure_ascii=False) + "\n"`, byte
-    for byte, for a document of str, list and dict with str keys; any other
-    type raises TypeError.
+    for byte, for a document of str, list and dict with str keys, where a
+    `Diagnostics` value stands for the list of its entries; any other type
+    raises TypeError.
 
     json.dumps takes its C encoder only without `indent`, so this writer joins
     chunks itself, with C calls where it can:
     - a list of strings, or a dict whose values are all strings, is one join;
-    - a flat dict inside a list whose `object` is a string (a diagnostics
-      entry) is rendered once per depth and tuple of its keys and other values,
-      as the text before and after its `object` value, cut at the position of
-      that key, and each such dict splices its escaped name in between;
+    - a `Diagnostics` value renders each distinct row once, as the text of its
+      entry before and after the name, and splices the escaped names in
+      between with one `chain` over the objects;
     - a list met again at the same depth (`neigh` shares one degree list among
       the objects of a row) repeats the chunks of its first rendering.
     Every chunk goes into one list, joined once at the end.
     """
     out: list[str] = []
     shown: dict = {}  # (id(list), depth) -> (start, stop) of its chunks in out
-    templates: dict = {}  # (depth, keys, other values) -> (before, after)
 
     def pad(depth: int) -> str:
         return "\n" + "  " * depth
@@ -405,6 +417,8 @@ def _json_text(doc, sort: bool) -> str:
             put_list(o, depth)
         elif isinstance(o, dict):
             put_dict(o, depth)
+        elif type(o) is Diagnostics:
+            put_rows(o, depth)
         else:
             raise TypeError(f"a JSON document holds str, list and dict, not {type(o).__name__}")
 
@@ -427,33 +441,30 @@ def _json_text(doc, sort: bool) -> str:
             for item in o:
                 out.append(lead)
                 lead = sep
-                if type(item) is dict and type(item.get("object")) is str:
-                    rest = item.copy()
-                    name = rest.pop("object")
-                    shape = (depth + 1, tuple(item), tuple(rest.values()))
-                    try:
-                        cut = templates[shape]
-                    except KeyError:
-                        cut = templates[shape] = template(item, depth + 1)
-                    except TypeError:  # a list or dict inside: not flat, rendered below
-                        cut = None
-                    if cut is not None:
-                        out.extend((cut[0], _escape(name), cut[1]))
-                        continue
                 put(item, depth + 1)
             out.extend((pad(depth), "]"))
         shown[key] = (start, len(out))
 
-    def template(d: dict, depth: int):
-        """The text of flat dict `d` before and after its `object` value."""
-        keys = sorted(d) if sort else list(d)
-        texts = [_escape(k) + ": " + ("" if k == "object" else _escape(d[k])) for k in keys]
-        cut = keys.index("object") + 1
-        inner, sep = pad(depth + 1), "," + pad(depth + 1)
-        return (
-            "{" + inner + sep.join(texts[:cut]),
-            "".join(sep + text for text in texts[cut:]) + pad(depth) + "}",
-        )
+    def put_rows(o: Diagnostics, depth: int) -> None:
+        if not o.names:
+            out.append("[]")
+            return
+        # each row's entry as "," + the text before the name, and the text after it
+        inner, sep = pad(depth + 2), "," + pad(depth + 2)
+        heads, tails = [], []
+        for row in o.rows:
+            keys = sorted(["object", *row]) if sort else ["object", *row]
+            cut = keys.index("object")
+            pairs = [_escape(k) + ": " + _escape(row[k]) for k in keys if k != "object"]
+            heads.append("," + pad(depth + 1) + "{" + inner + "".join(p + sep for p in pairs[:cut])
+                         + '"object": ')
+            tails.append("".join(sep + p for p in pairs[cut:]) + pad(depth + 1) + "}")
+        start = len(out)
+        out.extend(itertools.chain.from_iterable(zip(
+            map(heads.__getitem__, o.index), map(_escape, o.names), map(tails.__getitem__, o.index)
+        )))
+        out[start] = "[" + out[start][1:]  # no comma before the first entry
+        out.extend((pad(depth), "]"))
 
     def put_dict(o: dict, depth: int) -> None:
         if not o:
@@ -483,29 +494,67 @@ def _json_text(doc, sort: bool) -> str:
 def render_result_csv(doc: dict, universe: Universe) -> str:
     """Flat per-object view of a result document, one row per object in universe order.
 
-    The diagnostics entries are listed in universe order too; their columns are
-    the keys of an entry, every key but `object`.  The table is built by
-    columns, each one a C-level `map` over the objects.
+    The diagnostics entries are listed in universe order too (a `Diagnostics`
+    value, or a plain list read as one row per object); their columns are the
+    keys of the first entry, every key but `object`.  An object's line is its
+    name cell and the cells of its key: its diagnostics values, its lower and
+    upper flags and its regions.  Each distinct key is written once by the csv
+    writer, and so is each name that needs quoting; the lines are spliced with
+    one `chain` over the objects.
     """
     objects = universe.objects
-    bit = ("0", "1").__getitem__
     entries = doc.get("diagnostics", [])
-    columns = [key for key in entries[0] if key != "object"] if entries else []
-    cols = [
-        objects,
-        map(bit, map(set(doc["lower"]).__contains__, objects)),
-        map(bit, map(set(doc["upper"]).__contains__, objects)),
-    ]
+    rows, index = ((entries.rows, entries.index) if type(entries) is Diagnostics
+                   else (entries, range(len(objects))))
+    columns = [key for key in rows[index[0]] if key != "object"] if entries else []
+    values = [tuple(map(row.__getitem__, columns)) for row in rows]
     regions = doc.get("regions", {})
-    if regions:
-        labels: dict[str, str] = {}  # name -> its labels in region order, "|"-joined
-        for label, names in regions.items():
-            for name in set(names):
-                labels[name] = labels[name] + "|" + label if name in labels else label
-        cols.append(map(labels.get, objects, itertools.repeat("")))
-    cols += (map(operator.itemgetter(key), entries) for key in columns)
+    labels: dict[str, str] = {}  # name -> its labels in region order, "|"-joined
+    for label, names in regions.items():
+        for name in set(names):
+            labels[name] = labels[name] + "|" + label if name in labels else label
+    keys = list(zip(
+        map(values.__getitem__, index) if entries else itertools.repeat(()),
+        map(set(doc["lower"]).__contains__, objects),
+        map(set(doc["upper"]).__contains__, objects),
+        map(labels.get, objects, itertools.repeat("")) if regions else itertools.repeat(None),
+    ))
     header = ["object", "in_lower", "in_upper", *(["regions"] if regions else []), *columns]
-    return render_csv([header, *zip(*cols)])
+    text = _result_csv(header, objects, keys, csv.QUOTE_MINIMAL)
+    if "\r" in text:
+        # the csv module leaves a bare "\r" unquoted when the line end is "\n"
+        text = _result_csv(header, objects, keys, csv.QUOTE_ALL)
+    return text
+
+
+# a name the csv writer may quote (or, before Python 3.11, refuse); any other is written as it is
+_CSV_SPECIAL = re.compile('[,"\r\n\0]')
+
+
+def _result_csv(header: list, objects: tuple, keys: list, quoting: int) -> str:
+    """The result CSV: each distinct key's cells, and each name the writer may
+    quote, written once; then one name cell and key text per object."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
+
+    def line(cells) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(cells)
+        return buf.getvalue()
+
+    bit = ("0", "1").__getitem__
+    tails = dict.fromkeys(keys)
+    for key in tails:
+        values, lo, up, lab = key
+        tails[key] = "," + line([bit(lo), bit(up), *([] if lab is None else [lab]), *values])
+    quoted = objects if quoting == csv.QUOTE_ALL else itertools.compress(
+        objects, map(_CSV_SPECIAL.search, objects))
+    cells = {name: line([name])[:-1] for name in quoted}
+    names = map(cells.get, objects, objects) if cells else objects
+    return "".join((line(header), *itertools.chain.from_iterable(
+        zip(names, map(tails.__getitem__, keys))
+    )))
 
 
 def render_csv(rows) -> str:

@@ -200,6 +200,18 @@ class TestValidation:
         assert report.empty_members == ("zero",)
         assert not report.ok
 
+    def test_a_valid_covering_reads_no_columns(self, monkeypatch):
+        # the per-object scan for `best` runs only when some object is uncovered
+        unpacked, unpack = [], model.lanes.unpack
+        monkeypatch.setattr(model.lanes, "unpack", lambda *a: unpacked.append(a) or unpack(*a))
+        for gamma in ("0.9", "0.5", "0.1"):
+            covering = FuzzyCovering("price", U8, price_members(), parse_scaled(gamma))
+            assert validate_covering(covering).ok
+        assert unpacked == []
+        covering = FuzzyCovering("price", U8, price_members(), parse_scaled("0.95"))
+        assert not validate_covering(covering).ok
+        assert len(unpacked) == 1
+
     def test_report_text_with_uncovered_objects_and_an_empty_member(self):
         members = price_members()[:2] + (("zero", FuzzySet.empty(U8)),)
         covering = FuzzyCovering("price", U8, members, parse_scaled("0.95"))

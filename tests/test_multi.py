@@ -146,6 +146,14 @@ class TestVectorOrder:
         assert vector_leq(lo, hi)
         assert not vector_leq(hi, lo)
 
+    def test_threshold_vectors_with_an_equal_alpha(self):
+        # the order is componentwise <=, so an equal alpha leaves it to beta
+        lo = (ThresholdPair.from_strings("0.5", "0.25"),) * 2
+        hi = (ThresholdPair.from_strings("0.5", "0.5"),) * 2
+        assert vector_leq(lo, hi)
+        assert vector_leq(hi, hi)
+        assert not vector_leq(hi, lo)
+
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             vector_leq((Grade.from_string("1"),), (Grade.from_string("1"),) * 2)

@@ -4,11 +4,13 @@
 sort_keys=True, ensure_ascii=False) + "\\n"`, and the key-order-keeping writer
 behind `sysio.dumps` the same call without `sort_keys`, for any document of
 str, list and dict; any other type raises TypeError.  `render_result_csv`
-builds its table by columns and must give the bytes of the per-object row loop
-kept below as the reference.  Rendering a large `neigh` document must not
-need much more memory than its output.  Every degree vector is written
-through `exact.format_each`, one `format_scaled` call per distinct value,
-with the bytes of one call per degree.
+must give the bytes of the per-object row loop kept below as the reference.
+A `single.Diagnostics` value (per-row diagnostics) is written as its list of
+entries would be, without either writer building that list.  Rendering a
+large `neigh` document must not need much more memory than its output.
+Every degree vector is written through `exact.format_each`, one
+`format_scaled` call per distinct value, with the bytes of one call per
+degree.
 """
 
 import json
@@ -21,6 +23,7 @@ from fuzzycover.exact import format_scaled, parse_scaled
 from fuzzycover.generate import generate_system
 from fuzzycover.model import Universe
 from fuzzycover.neighborhood import build_table
+from fuzzycover.single import Diagnostics
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -35,13 +38,13 @@ def ordered_json(doc) -> str:
 
 
 # pieces of names that need escaping in JSON or quoting in CSV, and the key the
-# templates splice at
+# per-row writer splices at
 ODD = ['"', "\\", "\x00", "\x01", "\n", "\r", "\t", "\x1f", "\x7f", "é", "中",
        "\u2028", "\U0001f600", ",", "|", "object", "a", "z", " "]
 names = st.lists(
     st.sampled_from(ODD) | st.characters(exclude_categories=("Cs",)), max_size=4,
 ).map("".join)
-# few values, so that entries share their non-object items and the templates are reused
+# few values, so that entries and rows share their non-object items
 shared_values = st.sampled_from(["0", "1", "0.5", "1/3", ""]) | names
 entry_keys = st.sampled_from(["overlap", "sigma", "p", "a", "objecs", "objectz", "~"]) | names
 
@@ -107,6 +110,40 @@ SHARED = ["a", {"object": "b", "p": "1"}]
 def test_named_documents(doc):
     assert sysio.render_json(doc) == sorted_json(doc)
     assert sysio._json_text(doc, sort=False) == ordered_json(doc)
+
+
+def _indices(rows: list, n: int):
+    """n row numbers of `rows`: each object points at one row."""
+    return st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def per_row_values(draw):
+    """A `Diagnostics` value: a few rows of any keys, and names that need escaping."""
+    rows = draw(st.lists(st.dictionaries(entry_keys.filter(lambda key: key != "object"),
+                                         shared_values, max_size=4), min_size=1, max_size=4))
+    objects = tuple(draw(st.lists(names, max_size=6)))
+    return Diagnostics(rows, draw(_indices(rows, len(objects))), objects)
+
+
+@st.composite
+def with_per_row(draw):
+    """(a document holding a `Diagnostics` value, the same document with a list)."""
+    value, other = draw(per_row_values()), draw(documents)
+    place = draw(st.sampled_from([
+        lambda v: v,
+        lambda v: {"diagnostics": v, "lower": ["a"], "z": other},
+        lambda v: [other, {"d": [v, v]}],
+    ]))
+    return place(value), place(list(value))
+
+
+@given(with_per_row())
+@settings(max_examples=200, deadline=None)
+def test_per_row_value_renders_as_its_list(case):
+    doc, listed = case
+    assert sysio.render_json(doc) == sorted_json(listed)
+    assert sysio._json_text(doc, sort=False) == ordered_json(listed)
 
 
 @pytest.mark.parametrize("leaf", [None, True, 0, 1.5, ("a",), b"a", {"a"}])
@@ -251,6 +288,26 @@ def test_result_csv_matches_row_loop(case):
     assert sysio.render_result_csv(doc, universe) == reference_result_csv(doc, universe)
 
 
+@st.composite
+def per_row_result_documents(draw):
+    """A result document whose diagnostics are a `Diagnostics` value over its universe."""
+    doc, universe = draw(result_documents())
+    columns = draw(st.lists(entry_keys.filter(lambda key: key != "object"),
+                            max_size=3, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({key: shared_values for key in columns}),
+                         min_size=1, max_size=3))
+    objects = universe.objects
+    doc["diagnostics"] = Diagnostics(rows, draw(_indices(rows, len(objects))), objects)
+    return doc, universe
+
+
+@given(per_row_result_documents())
+@settings(max_examples=300, deadline=None)
+def test_result_csv_of_per_row_diagnostics_matches_row_loop(case):
+    doc, universe = case
+    assert sysio.render_result_csv(doc, universe) == reference_result_csv(doc, universe)
+
+
 def test_result_csv_named_cases():
     universe = Universe(CSV_NAMES)
     diagnostics = [{"object": name, "overlap": "1", "p": "1/2"} for name in CSV_NAMES]
@@ -282,12 +339,39 @@ def test_cli_regions_bytes_at_n500(capsys, monkeypatch, tmp_path):
     as_json = _recorded(monkeypatch, "render_json")
     assert cli.main(argv) == 0
     [(doc,)] = as_json
-    assert capsys.readouterr().out == sorted_json(doc)
+    assert capsys.readouterr().out == sorted_json({**doc, "diagnostics": list(doc["diagnostics"])})
     as_csv = _recorded(monkeypatch, "render_result_csv")
     assert cli.main(argv + ["--format", "csv"]) == 0
     [(doc, universe)] = as_csv
     assert len(universe.objects) == 500 and len(doc["diagnostics"]) == 500
     assert capsys.readouterr().out == reference_result_csv(doc, universe)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writers_do_not_expand_per_row_diagnostics(capsys, monkeypatch, tmp_path, fmt):
+    # both writers read the rows, the index and the names, never one dict per object
+    path = tmp_path / "n500.json"
+    sysio.dump(generate_system(500, 1, 3, parse_scaled("0.9"), 0), str(path))
+    argv = ["approx", str(path), "--op", "dq1", "--alpha", "0.62", "--beta", "0.59",
+            "--k", "150", "--target", "X", "--format", fmt]
+    seen = _recorded(monkeypatch, "render_json" if fmt == "json" else "render_result_csv")
+    assert cli.main(argv) == 0
+    [(doc, *universe)] = seen
+    entries = list(doc["diagnostics"])
+    assert type(doc["diagnostics"]) is Diagnostics and len(entries) == 500
+    expected = capsys.readouterr().out
+    if fmt == "json":
+        assert expected == sorted_json({**doc, "diagnostics": entries})
+    else:
+        assert expected == reference_result_csv(doc, *universe)
+
+    def refuse(*args):
+        raise AssertionError("a writer expanded the per-row diagnostics")
+
+    monkeypatch.setattr(Diagnostics, "__getitem__", refuse)
+    monkeypatch.setattr(Diagnostics, "__iter__", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_neigh_render_peak_memory(monkeypatch, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fuzzycover import cli, operators, single
-from fuzzycover.exact import MICRO, parse_scaled
+from fuzzycover.exact import MICRO, format_scaled, parse_scaled
 from fuzzycover.model import (
     ApproximationSpace,
     FuzzyCovering,
@@ -30,6 +30,7 @@ from fuzzycover.single import (
 )
 from fuzzycover.generate import generate_system
 from fuzzycover.neighborhood import build_table, fuzzy_gamma_neighborhood
+from fuzzycover.sysio import load
 
 from props import (
     suite_dq_decomposition,
@@ -381,6 +382,54 @@ def test_diagnostics_of_distinct_rows_with_equal_sigma():
         ("x3", "0", "2", "0", "2", "2"),
         ("x4", "1", "2", "1/2", "1", "1"),
     ]
+
+
+def _diagnostics_per_object(space, target) -> list[dict[str, str]]:
+    """Each object's entry from its own neighborhood, with no table."""
+    entries = []
+    for name in space.universe.objects:
+        neigh = fuzzy_gamma_neighborhood(space, name).memberships
+        xs = target.memberships
+        overlap, sigma = sum(map(min, xs, neigh)), sum(neigh)
+        complement = sum(min(MICRO - x, v) for x, v in zip(xs, neigh))
+        entries.append({
+            "object": name,
+            "overlap": format_scaled(overlap),
+            "sigma": format_scaled(sigma),
+            "p": str(Fraction(overlap, sigma)),
+            "residual_mass": format_scaled(sigma - overlap),
+            "complement_mass": format_scaled(complement),
+        })
+    return entries
+
+
+def _fixture_cases(fixtures_dir):
+    for path in sorted(fixtures_dir.glob("*.json")):
+        sf = load(str(path))
+        for covering in sf.system.coverings:
+            for target in sf.targets.values():
+                yield sf.system.space(covering.name), target
+
+
+def test_diagnostics_equal_a_per_object_reference(fixtures_dir):
+    cases = list(_fixture_cases(fixtures_dir))
+    sf = generate_system(500, 1, 3, 900_000, 0)
+    cases += [(sf.system.space(), target) for target in sf.targets.values()]
+    assert len(cases) > 6
+    for space, target in cases:
+        entries = diagnostics(build_table(space), target)
+        reference = _diagnostics_per_object(space, target)
+        assert len(entries) == len(reference)
+        assert list(entries) == reference
+        assert [entries[i] for i in (0, -1)] == [reference[0], reference[-1]]
+
+
+@pytest.mark.parametrize("alpha, beta", [("0.5", "0.25"), ("0.75", "0.5")])
+def test_threshold_form_check_at_a_prob_tie(price_table, target_x, alpha, beta):
+    # P(x1) is exactly 0.5: each prob test is inclusive on both routes
+    assert cond_prob(price_table, target_x, "x1") == Fraction(1, 2)
+    t = ThresholdPair.from_strings(alpha, beta)
+    assert threshold_form_check(price_table, target_x, t, Grade.from_string("1")).equivalences_hold
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
