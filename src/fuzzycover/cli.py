@@ -215,21 +215,26 @@ def cmd_neigh(args) -> int:
     sf = sysio.load(args.path)
     names = [c.name for c in sf.system.coverings] if args.covering is None else [args.covering]
     objects = sf.universe.objects
-    rows, doc = [["covering", "object", *objects, "sigma"]], {}
+    doc, coverings, keys, tails = {}, [], [], []
     for name in names:
         table = build_table(sf.system.space(name))
         # each distinct row is formatted once and shared by the objects that have it
         degrees = list(map(format_each, table.distinct))
         sigma = format_each(table.distinct_sigma)
         if args.format == "csv":
-            rows += ([name, obj, *degrees[i], sigma[i]] for obj, i in zip(objects, table.index))
+            coverings += [name] * len(objects)
+            keys += map(len(tails).__add__, table.index)  # a row's place in `tails`
+            tails += ([*row, s] for row, s in zip(degrees, sigma))
         else:
             doc[name] = {
                 "gamma": format_scaled(table.space.covering.gamma),
                 "rows": {obj: degrees[i] for obj, i in zip(objects, table.index)},
                 "sigma": {obj: sigma[i] for obj, i in zip(objects, table.index)},
             }
-    _emit(sysio.render_csv(rows) if args.format == "csv" else sysio.render_json(doc), args.out)
+    header = ["covering", "object", *objects, "sigma"]
+    leads = [coverings, objects * len(names)]
+    _emit(sysio.render_csv(header, leads, keys, tails.__getitem__) if args.format == "csv"
+          else sysio.render_json(doc), args.out)
     return EXIT_OK
 
 
@@ -352,20 +357,21 @@ def cmd_sweep(args) -> int:
             f"sweep grid has {shown} points, more than the limit of {MAX_SWEEP_POINTS}"
         )
     cell = _cell_names(sf.universe).__getitem__  # escaped once per command, not per point
-    rows = [[*grids, "lower", "upper", "n_lower", "n_upper"]]
+    point_cells, keys = [], []
     for point in itertools.product(*grids.values()):
         values = dict(zip(grids, point))
         if "alpha" in values and values["beta"] > values["alpha"]:
             continue
         r = operators.run(op, table, target, *_point(values), mode=mode)
-        rows.append([
-            *map(format_scaled, point),
+        point_cells.append(tuple(map(format_scaled, point)))
+        keys.append((
             ";".join(map(cell, r.lower)),
             ";".join(map(cell, r.upper)),
             str(len(r.lower)),
             str(len(r.upper)),
-        ])
-    _emit(sysio.render_csv(rows), args.out)
+        ))
+    header = [*grids, "lower", "upper", "n_lower", "n_upper"]
+    _emit(sysio.render_csv(header, list(zip(*point_cells)), keys), args.out)
     return EXIT_OK
 
 

@@ -497,10 +497,8 @@ def render_result_csv(doc: dict, universe: Universe) -> str:
     The diagnostics entries are listed in universe order too (a `Diagnostics`
     value, or a plain list read as one row per object); their columns are the
     keys of the first entry, every key but `object`.  An object's line is its
-    name cell and the cells of its key: its diagnostics values, its lower and
-    upper flags and its regions.  Each distinct key is written once by the csv
-    writer, and so is each name that needs quoting; the lines are spliced with
-    one `chain` over the objects.
+    name and the cells of its key: its lower and upper flags, its regions and
+    its diagnostics values, so `render_csv` writes each distinct key once.
     """
     objects = universe.objects
     entries = doc.get("diagnostics", [])
@@ -514,26 +512,40 @@ def render_result_csv(doc: dict, universe: Universe) -> str:
         for name in set(names):
             labels[name] = labels[name] + "|" + label if name in labels else label
     keys = list(zip(
-        map(values.__getitem__, index) if entries else itertools.repeat(()),
         map(set(doc["lower"]).__contains__, objects),
         map(set(doc["upper"]).__contains__, objects),
-        map(labels.get, objects, itertools.repeat("")) if regions else itertools.repeat(None),
+        *([map(labels.get, objects, itertools.repeat(""))] if regions else []),
+        map(values.__getitem__, index) if entries else itertools.repeat(()),
     ))
+    bit = ("0", "1").__getitem__
     header = ["object", "in_lower", "in_upper", *(["regions"] if regions else []), *columns]
-    text = _result_csv(header, objects, keys, csv.QUOTE_MINIMAL)
-    if "\r" in text:
-        # the csv module leaves a bare "\r" unquoted when the line end is "\n"
-        text = _result_csv(header, objects, keys, csv.QUOTE_ALL)
-    return text
+    return render_csv(header, [objects], keys,
+                      lambda key: (bit(key[0]), bit(key[1]), *key[2:-1], *key[-1]))
 
 
-# a name the csv writer may quote (or, before Python 3.11, refuse); any other is written as it is
+# a cell the csv writer may quote (or, before Python 3.11, refuse); any other is written as it is
 _CSV_SPECIAL = re.compile('[,"\r\n\0]')
 
 
-def _result_csv(header: list, objects: tuple, keys: list, quoting: int) -> str:
-    """The result CSV: each distinct key's cells, and each name the writer may
-    quote, written once; then one name cell and key text per object."""
+def render_csv(header: list, leads: list, keys: list, tail=tuple) -> str:
+    """CSV text: the header line, then one line per key.
+
+    A line is its lead cells, one from each column of `leads`, then the tail
+    cells of its key, `tail(key)` (at least two; by default the key's own
+    cells).  Cells holding ',', '"' or a line break are quoted; other
+    cells are written as they are, so plain names give the same bytes as a
+    ','-join.  A bare carriage return anywhere quotes every cell.
+    """
+    text = _csv_text(header, leads, keys, tail, csv.QUOTE_MINIMAL)
+    if "\r" in text:
+        # the csv module leaves a bare "\r" unquoted when the line end is "\n"
+        text = _csv_text(header, leads, keys, tail, csv.QUOTE_ALL)
+    return text
+
+
+def _csv_text(header: list, leads: list, keys: list, tail, quoting: int) -> str:
+    """Each distinct key's tail, and each lead cell the writer may quote, written
+    once; then the lead cells and tail text of every line, joined once."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
 
@@ -543,38 +555,19 @@ def _result_csv(header: list, objects: tuple, keys: list, quoting: int) -> str:
         writer.writerow(cells)
         return buf.getvalue()
 
-    bit = ("0", "1").__getitem__
-    tails = dict.fromkeys(keys)
-    for key in tails:
-        values, lo, up, lab = key
-        tails[key] = "," + line([bit(lo), bit(up), *([] if lab is None else [lab]), *values])
-    quoted = objects if quoting == csv.QUOTE_ALL else itertools.compress(
-        objects, map(_CSV_SPECIAL.search, objects))
-    cells = {name: line([name])[:-1] for name in quoted}
-    names = map(cells.get, objects, objects) if cells else objects
+    tails = {key: "," + line(tail(key)) for key in set(keys)}
+    special = itertools.chain.from_iterable(leads)
+    if quoting != csv.QUOTE_ALL:
+        special = filter(_CSV_SPECIAL.search, special)
+    cells = {cell: line([cell])[:-1] for cell in set(special)}
+    if cells:
+        leads = [map(cells.get, column, column) for column in leads]
+    parts = leads[:1]  # the lead columns with a comma between each two; a tail brings its own
+    for column in leads[1:]:
+        parts += (itertools.repeat(","), column)
     return "".join((line(header), *itertools.chain.from_iterable(
-        zip(names, map(tails.__getitem__, keys))
+        zip(*parts, map(tails.__getitem__, keys))
     )))
-
-
-def render_csv(rows) -> str:
-    """CSV text, one newline-ended line per row.
-
-    Cells holding ',', '"' or a line break are quoted; other cells are written
-    as they are, so plain names give the same bytes as a ','-join.  A bare
-    carriage return anywhere quotes every cell.
-    """
-    text = _csv_text(rows, csv.QUOTE_MINIMAL)
-    if "\r" in text:
-        # the csv module leaves a bare "\r" unquoted when the line end is "\n"
-        text = _csv_text(rows, csv.QUOTE_ALL)
-    return text
-
-
-def _csv_text(rows, quoting: int) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
-    return buf.getvalue()
 
 
 __all__ = [

@@ -3,8 +3,10 @@
 `sysio.render_json` must return exactly `json.dumps(doc, indent=2,
 sort_keys=True, ensure_ascii=False) + "\\n"`, and the key-order-keeping writer
 behind `sysio.dumps` the same call without `sort_keys`, for any document of
-str, list and dict; any other type raises TypeError.  `render_result_csv`
-must give the bytes of the per-object row loop kept below as the reference.
+str, list and dict; any other type raises TypeError.  Every CSV the package
+writes (a result, `neigh --format csv`, `sweep`) must give the bytes of a
+per-line row loop written by its own `csv.writer`, kept below as the
+reference, and `neigh` must hand the writer each distinct row once.
 A `single.Diagnostics` value (per-row diagnostics) is written as its list of
 entries would be, without either writer building that list.  Rendering a
 large `neigh` document must not need much more memory than its output.
@@ -13,16 +15,19 @@ Every degree vector is written through `exact.format_each`, one
 degree.
 """
 
+import csv
+import io
+import itertools
 import json
 import tracemalloc
 
 import pytest
 
-from fuzzycover import cli, exact, model, sysio
-from fuzzycover.exact import format_scaled, parse_scaled
+from fuzzycover import cli, exact, model, oracle, sysio
+from fuzzycover.exact import MICRO, format_scaled, parse_scaled
 from fuzzycover.generate import generate_system
 from fuzzycover.model import Universe
-from fuzzycover.neighborhood import build_table
+from fuzzycover.neighborhood import build_table, fuzzy_gamma_neighborhood
 from fuzzycover.single import Diagnostics
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -249,7 +254,20 @@ def reference_result_csv(doc: dict, universe: Universe) -> str:
         if regions:
             row.append("|".join(label for label, names in regions.items() if name in names))
         rows.append(row + [entries[i][key] for key in columns])
-    return sysio.render_csv(rows)
+    return reference_csv(rows)
+
+
+def reference_csv(rows: list) -> str:
+    """`rows` through one csv writer; a bare carriage return in any cell, which
+    the writer leaves unquoted under QUOTE_MINIMAL, quotes every cell."""
+
+    def write(quoting: int) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
+        return buf.getvalue()
+
+    text = write(csv.QUOTE_MINIMAL)
+    return write(csv.QUOTE_ALL) if "\r" in text else text
 
 
 CSV_NAMES = ("a,b", 'say "hi"', "two\nlines", "cr\rname", "p|q", "plain", "é,中")
@@ -392,3 +410,158 @@ def test_neigh_render_peak_memory(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert len(text) > 10_000_000  # n * n degrees: the size at which the bound says something
     assert peak <= 1.5 * len(text)
+
+
+def test_neigh_csv_render_peak_memory(monkeypatch, tmp_path):
+    """The CSV twin of the test above: each distinct row's text is written
+    once and shared by the lines that have it, and the lines are joined once."""
+    path = tmp_path / "n1000.json"
+    sysio.dump(generate_system(1000, 1, 8, parse_scaled("0.9"), 0), str(path))
+    seen = []
+    monkeypatch.setattr(sysio, "render_csv", lambda *args: seen.append(args) or "")
+    argv = ["neigh", str(path), "--format", "csv", "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    [args] = seen
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        text = sysio.render_csv(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 4_000_000  # n * n degrees: the size at which the bound says something
+    assert peak <= 1.5 * len(text)
+
+
+# pieces of names that CSV quotes (',', '"', line breaks; a bare '\r' quotes every
+# cell) or that a sweep cell escapes (';', '\\'), with '|' and non-ASCII text
+HOSTILE = [",", '"', "\n", "\r", "|", ";", "\\", "é", "中", "\U0001f600", "a", "x"]
+hostile_names = st.lists(st.sampled_from(HOSTILE), min_size=1, max_size=4).map("".join)
+
+
+@st.composite
+def hostile_systems(draw):
+    """The JSON text of a generated system of 1-3 coverings whose object and
+    covering names are drawn from `HOSTILE`."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    gamma = draw(st.sampled_from([300_000, 600_000, 900_000, MICRO]))
+    sf = generate_system(n, m, draw(st.integers(2, 4)), gamma, draw(st.integers(0, 3)))
+    doc = json.loads(sysio.dumps(sf))
+    doc["universe"] = draw(st.lists(hostile_names, min_size=n, max_size=n, unique=True))
+    names = draw(st.lists(hostile_names, min_size=m, max_size=m, unique=True))
+    for covering, name in zip(doc["coverings"], names):
+        covering["name"] = name
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def _csv_output(work_dir, text: str, argv: list) -> tuple[sysio.SystemFile, str]:
+    """The system `text` describes, and the output of `argv` on it, read back as written."""
+    path, out = work_dir / "system.json", work_dir / "out.csv"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 0
+    return sysio.load(str(path)), out.read_bytes().decode("utf-8")
+
+
+def reference_neigh_csv(sf: sysio.SystemFile, names: list) -> str:
+    """`neigh --format csv` as one row per (covering, object), each neighborhood
+    computed for its object alone."""
+    objects = sf.universe.objects
+    rows = [["covering", "object", *objects, "sigma"]]
+    for name in names:
+        space = sf.system.space(name)
+        for obj in objects:
+            degrees = fuzzy_gamma_neighborhood(space, obj).memberships
+            rows.append([name, obj, *map(format_scaled, degrees), format_scaled(sum(degrees))])
+    return reference_csv(rows)
+
+
+@given(hostile_systems(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_neigh_csv_matches_row_loop(work_dir, text, one):
+    argv = ["neigh", "--format", "csv"]
+    if one:
+        argv += ["--covering", json.loads(text)["coverings"][-1]["name"]]
+    sf, out = _csv_output(work_dir, text, argv)
+    names = [c.name for c in sf.system.coverings]
+    assert out == reference_neigh_csv(sf, names[-1:] if one else names)
+
+
+def _grid(spec: str) -> list[int]:
+    start, stop, step = map(parse_scaled, spec.split(":"))
+    return list(range(start, stop + 1, step))
+
+
+def reference_sweep_csv(sf: sysio.SystemFile, covering: str, grids: dict) -> str:
+    """`sweep` on target X as one row per grid point, each point's sets from the oracle."""
+    space, target = sf.system.space(covering), sf.target("X")
+    rows = [[*grids, "lower", "upper", "n_lower", "n_upper"]]
+    for point in itertools.product(*grids.values()):
+        if "alpha" in grids:
+            alpha, beta = point
+            if beta > alpha:
+                continue
+            sets = oracle.prob_approx(space, target, alpha, beta)
+        else:
+            sets = oracle.grade_approx(space, target, point[0], "residual")
+        cells = [[name.replace("\\", "\\\\").replace(";", "\\;")
+                  for name in sf.universe.objects if name in s] for s in sets]
+        rows.append([*map(format_scaled, point), *map(";".join, cells), *(str(len(s)) for s in sets)])
+    return reference_csv(rows)
+
+
+SWEEPS = [
+    {"k": "0:3:0.5"},
+    {"alpha": "0.5:1:0.25", "beta": "0:0.5:0.25"},
+    {"alpha": "0:1:0.3", "beta": "0:1:0.3"},
+    {"alpha": "0:0.2:0.1", "beta": "0.5:1:0.25"},  # beta > alpha at every point: the header only
+]
+
+
+@given(hostile_systems(), st.sampled_from(SWEEPS))
+@settings(max_examples=150, deadline=None)
+def test_sweep_csv_matches_row_loop(work_dir, text, specs):
+    covering = json.loads(text)["coverings"][0]["name"]
+    flags = [part for param, spec in specs.items() for part in (f"--{param}", spec)]
+    op = "prob" if "alpha" in specs else "grade"
+    sf, out = _csv_output(work_dir, text, ["sweep", "--op", op, "--target", "X",
+                                           "--covering", covering, *flags])
+    grids = {param: _grid(spec) for param, spec in specs.items()}
+    assert out == reference_sweep_csv(sf, covering, grids)
+
+
+def test_neigh_csv_hands_the_writer_each_distinct_row_once(monkeypatch, tmp_path):
+    """The writer gets the header, each covering's distinct rows and each lead
+    cell that may need quoting, not one row per (covering, object)."""
+    sf = generate_system(500, 2, 8, 900_000, 0)
+    path = tmp_path / "n500.json"
+    sysio.dump(sf, str(path))
+    names = [c.name for c in sf.system.coverings]
+    d = sum(len(build_table(sf.system.space(name)).distinct_sigma) for name in names)
+    quoted = sum(map(bool, map(sysio._CSV_SPECIAL.search, {*names, *sf.universe.objects})))
+    assert 1 + d + quoted < 500  # far below the 1 + n * m rows of a row per line
+    handed, writer = [], csv.writer
+
+    class Counted:
+        def __init__(self, *args, **kwargs):
+            self.inner = writer(*args, **kwargs)
+
+        def writerow(self, row):
+            handed.append(row)
+            return self.inner.writerow(row)
+
+        def writerows(self, rows):
+            rows = list(rows)
+            handed.extend(rows)
+            return self.inner.writerows(rows)
+
+    monkeypatch.setattr(sysio.csv, "writer", Counted)
+    out = tmp_path / "out.csv"
+    assert cli.main(["neigh", str(path), "--format", "csv", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert 0 < len(handed) <= 1 + d + quoted
+    assert out.read_bytes().decode("utf-8") == reference_neigh_csv(sysio.load(str(path)), names)
