@@ -13,14 +13,14 @@ unregistered flag, an op id outside the command's table, a scalar flag with
 its list, a path with --random, a count below 1.  The commands check what needs
 the file or the op: decimals, required flags, list lengths, the sweep bound.
 
-A well-formed command line never builds argparse: `_scan` reads it against
-the arguments the subcommand's function in `SUBCOMMANDS` declares (exact flag
-names, each once, each value the next token and not starting with '-').
-Help, an abbreviation, `--flag=value`, a negative value, `--`, a repeated
-flag and every refused line go to argparse, which writes every help, usage
-and error text.  Building argparse imports `locale` through gettext and
-compiles its patterns: in a fresh CPython 3.11 interpreter, `cli.main` on
-`validate fixtures/crisp.json` took 2.5-4.2 ms with it and 0.3-0.6 ms without.
+Each subcommand's arguments are declared once, as data in `SUBCOMMANDS`:
+`build_parser` hands them to argparse, and `_scan` reads a well-formed
+command line against them without building argparse (exact flag names, each
+once, each value the next token and not starting with '-').  Help, an
+abbreviation, `--flag=value`, a negative value, `--`, a repeated flag and
+every refused line go to argparse, which writes every help, usage and error
+text.  Building argparse imports `locale` through gettext and compiles its
+patterns, which a well-formed line is spared.
 """
 
 from __future__ import annotations
@@ -375,76 +375,77 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _result_args(p, ops: dict, fused=False, fmt=True):
+def _arg(name: str, **options) -> tuple[str, dict]:
+    """One argument: its name and the keyword options argparse's add_argument takes."""
+    return name, options
+
+
+_FORMAT = _arg("--format", choices=["json", "csv"], default="json")
+
+
+def _result_args(ops: dict, fused=False, fmt=True) -> list:
     """A result subcommand: --op from `ops`, the parameter flags, and --format if it writes one.
 
     A fused (mg) command reads every covering, so it has no --covering, and
     takes each parameter as a scalar or as a per-covering list, not both.
     """
-    p.add_argument("path")
-    p.add_argument("--op", required=True, choices=ops, help="operator id")
-    p.add_argument("--target", required=True, help="target fuzzy set name from the file")
+    args = [
+        _arg("path"),
+        _arg("--op", required=True, choices=ops, help="operator id"),
+        _arg("--target", required=True, help="target fuzzy set name from the file"),
+    ]
     if not fused:
-        p.add_argument("--covering", help="covering name (needed when the file has several)")
+        args.append(_arg("--covering", help="covering name (needed when the file has several)"))
     for param, text in (
         ("alpha", "probabilistic lower threshold, e.g. 0.75"),
         ("beta", "probabilistic upper threshold, e.g. 0.25"),
         ("k", "grade threshold, e.g. 2"),
     ):
-        group = p.add_mutually_exclusive_group() if fused else p
-        group.add_argument(f"--{param}", help=text)
-        if fused:
-            group.add_argument(f"--{param}s", help=f"comma list, one {param} per covering")
-    p.add_argument(
+        scalar = _arg(f"--{param}", help=text)
+        listed = _arg(f"--{param}s", help=f"comma list, one {param} per covering")
+        args.append(([scalar, listed], {}) if fused else scalar)
+    args.append(_arg(
         "--residual-mode",
         choices=[mode.value for mode in ResidualMode],
         default=ResidualMode.RESIDUAL.value,
         help="reading of the grade lower-approximation mass (default: %(default)s)",
-    )
+    ))
     if fmt:
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", type=_out_path, help="write output to a file instead of stdout")
+        args.append(_FORMAT)
+    args.append(_arg("--out", type=_out_path, help="write output to a file instead of stdout"))
+    return args
 
 
-def _neigh_args(p):
-    p.add_argument("path")
-    p.add_argument("--covering")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", type=_out_path)
-
-
-def _check_args(p):
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("path", nargs="?")
-    source.add_argument("--random", action="store_true", help="run on random instances")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_positive, help=f"random instances (default {RANDOM_COUNT})")
-
-
-def _gen_args(p):
-    p.add_argument("--n", type=_positive, required=True, help="universe size")
-    p.add_argument("--m", type=_positive, default=1, help="number of coverings")
-    p.add_argument("--members", type=_positive, default=3, help="members per covering")
-    p.add_argument("--gamma", required=True, help="covering threshold, e.g. 0.9")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=_out_path)
-
-
-# subcommand -> (help, handler, function adding its arguments), in the order --help lists them
+# subcommand -> (help, handler, arguments), in the order --help lists them.  An
+# argument is (name, add_argument options); a mutually exclusive group is
+# ([arguments], add_mutually_exclusive_group options).  `build_parser` hands
+# them to argparse and `_scan` reads them as they are.
 SUBCOMMANDS = {
     "validate": ("check the covering conditions of a system file", cmd_validate,
-                 lambda p: p.add_argument("path")),
-    "neigh": ("dump per-object neighborhoods and sigma-counts", cmd_neigh, _neigh_args),
-    "approx": ("lower/upper approximation of a target", cmd_approx,
-               lambda p: _result_args(p, SINGLE_OPS)),
-    "regions": ("three-way / five-way decision regions", cmd_approx,
-                lambda p: _result_args(p, REGION_OPS)),
-    "mg": ("multi-granulation fused approximations", cmd_mg,
-           lambda p: _result_args(p, MG_OPS, fused=True)),
-    "check": ("differential check against the brute-force path", cmd_check, _check_args),
-    "gen": ("generate a random valid system file", cmd_gen, _gen_args),
+                 [_arg("path")]),
+    "neigh": ("dump per-object neighborhoods and sigma-counts", cmd_neigh, [
+        _arg("path"), _arg("--covering"), _FORMAT, _arg("--out", type=_out_path),
+    ]),
+    "approx": ("lower/upper approximation of a target", cmd_approx, _result_args(SINGLE_OPS)),
+    "regions": ("three-way / five-way decision regions", cmd_approx, _result_args(REGION_OPS)),
+    "mg": ("multi-granulation fused approximations", cmd_mg, _result_args(MG_OPS, fused=True)),
+    "check": ("differential check against the brute-force path", cmd_check, [
+        ([_arg("path", nargs="?"),
+          _arg("--random", action="store_true", help="run on random instances")],
+         {"required": True}),
+        _arg("--seed", type=int, default=0),
+        _arg("--count", type=_positive, help=f"random instances (default {RANDOM_COUNT})"),
+    ]),
+    "gen": ("generate a random valid system file", cmd_gen, [
+        _arg("--n", type=_positive, required=True, help="universe size"),
+        _arg("--m", type=_positive, default=1, help="number of coverings"),
+        _arg("--members", type=_positive, default=3, help="members per covering"),
+        _arg("--gamma", required=True, help="covering threshold, e.g. 0.9"),
+        _arg("--seed", type=int, default=0),
+        _arg("--out", type=_out_path),
+    ]),
     "sweep": ("evaluate an operator over start:stop:step grids (CSV)", cmd_sweep,
-              lambda p: _result_args(p, SINGLE_OPS, fmt=False)),
+              _result_args(SINGLE_OPS, fmt=False)),
 }
 
 
@@ -458,95 +459,76 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Exact lower/upper approximations over fuzzy gamma-covering spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in SUBCOMMANDS else SUBCOMMANDS:
-        help, func, add_args = SUBCOMMANDS[name]
-        add_args(p := sub.add_parser(name, help=help))
+    for command_name in [command] if command in SUBCOMMANDS else SUBCOMMANDS:
+        help, func, arguments = SUBCOMMANDS[command_name]
+        p = sub.add_parser(command_name, help=help)
+        for names, options in arguments:
+            if isinstance(names, list):
+                group = p.add_mutually_exclusive_group(**options)
+                for name, member_options in names:
+                    group.add_argument(name, **member_options)
+            else:
+                p.add_argument(names, **options)
         p.set_defaults(func=func)
     return parser
-
-
-class _Grammar:
-    """The arguments an add-arguments function of `SUBCOMMANDS` declares, recorded.
-
-    It stands in for the argparse parser the function is written for, so
-    `_scan` reads the one declaration of each subcommand without building
-    argparse.  A mutually exclusive group is a _Grammar that records into its
-    parent's lists too.
-    """
-
-    def __init__(self, parent: _Grammar | None = None, required: bool = False):
-        self.arguments = parent.arguments if parent else []  # every argument, in order
-        self.groups = parent.groups if parent else []
-        self.members, self.required = [], required
-
-    def add_argument(self, name, action="store", nargs=None, required=False, default=None,
-                     type=None, choices=None, help=None):
-        flag, switch = name.startswith("-"), action == "store_true"
-        arg = argparse.Namespace(
-            dest=name.lstrip("-").replace("-", "_"),
-            flag=name if flag else None,
-            switch=switch,
-            required=required or (not flag and nargs is None),
-            default=False if switch else default,
-            type=type,
-            choices=choices,
-        )
-        self.arguments.append(arg)
-        self.members.append(arg)
-
-    def add_mutually_exclusive_group(self, required=False):
-        self.groups.append(group := _Grammar(self, required))
-        return group
 
 
 def _scan(argv: list[str]) -> argparse.Namespace | None:
     """What `build_parser(argv[0]).parse_args(argv)` returns, read without argparse.
 
-    It reads exact flag names, each at most once, each value the next token,
-    and at most the declared positionals, and applies argparse's type,
-    choices, required and mutually exclusive checks.  Anything else gives
-    None, so argparse reads it and writes every message: help, an
-    abbreviation, --flag=value, a token that starts with '-' where a value or
-    a positional goes (a negative number, '--'), a repeated flag, a failed check.
+    It reads the subcommand's `SUBCOMMANDS` arguments as they are: exact flag
+    names, each at most once, each value the next token, and at most the
+    declared positionals, and applies argparse's type, choices, required and
+    mutually exclusive checks.  Anything else gives None, so argparse reads it
+    and writes every message: help, an abbreviation, --flag=value, a token that
+    starts with '-' where a value or a positional goes (a negative number,
+    '--'), a repeated flag, a failed check.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
-    _, func, add_args = SUBCOMMANDS[argv[0]]
-    add_args(grammar := _Grammar())
-    flags = {arg.flag: arg for arg in grammar.arguments if arg.flag}
-    positionals = [arg for arg in grammar.arguments if not arg.flag]
+    _, func, arguments = SUBCOMMANDS[argv[0]]
+    members = [arg for names, options in arguments  # a group's arguments in its place
+               for arg in (names if isinstance(names, list) else [(names, options)])]
+    flags = {name: options for name, options in members if name.startswith("-")}
+    positionals = [arg for arg in members if not arg[0].startswith("-")]
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        if not token.startswith("-"):
-            if not positionals:
+        if token.startswith("-"):
+            name, options = token, flags.pop(token, None)
+            if options is None:  # undeclared, or repeated
                 return None
-            arg, value = positionals.pop(0), token
-        elif (arg := flags.pop(token, None)) is None:  # also a repeated flag
+            if options.get("action") == "store_true":
+                value = True
+            elif (value := next(tokens, "-")).startswith("-"):
+                return None
+        elif positionals:
+            (name, options), value = positionals.pop(0), token
+        else:
             return None
-        elif arg.switch:
-            value = True
-        elif (value := next(tokens, "-")).startswith("-"):
-            return None
-        if arg.type is not None:
+        if (convert := options.get("type")) is not None:
             try:
-                value = arg.type(value)
+                value = convert(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-        if arg.choices is not None and value not in arg.choices:
+        if (choices := options.get("choices")) is not None and value not in choices:
             return None
-        given[arg.dest] = value
-    if any(arg.required and arg.dest not in given for arg in grammar.arguments):
-        return None
-    for group in grammar.groups:
-        count = sum(arg.dest in given for arg in group.members)
-        if count > 1 or (group.required and not count):
+        given[name] = value
+    for names, options in arguments:
+        if isinstance(names, list):
+            count = sum(name in given for name, _ in names)
+            if count > 1 or (options.get("required") and not count):
+                return None
+    args = argparse.Namespace(command=argv[0])
+    for name, options in members:
+        if name not in given and (options.get("required") or (
+                not name.startswith("-") and options.get("nargs") is None)):
             return None
-    return argparse.Namespace(
-        command=argv[0],
-        **{arg.dest: given.get(arg.dest, arg.default) for arg in grammar.arguments},
-        func=func,
-    )
+        switch = options.get("action") == "store_true"
+        value = given.get(name, False if switch else options.get("default"))
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    args.func = func
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

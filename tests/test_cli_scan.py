@@ -5,7 +5,10 @@ the Namespace argparse returns, and None wherever argparse refuses the line
 or prints help, so argparse still writes every help, usage and error text.
 """
 
+import ast
+import inspect
 import itertools
+import types
 
 import pytest
 
@@ -44,9 +47,57 @@ def test_scanned_command_lines_run_as_argparse_reads(tmp_path, monkeypatch, caps
 
 
 def _declared(command: str) -> list:
-    """The arguments `command` declares, as `_scan` records them."""
-    cli.SUBCOMMANDS[command][2](grammar := cli._Grammar())
-    return grammar.arguments
+    """The arguments `command` declares in `cli.SUBCOMMANDS`, a group's in its place."""
+    declared = []
+    for names, options in cli.SUBCOMMANDS[command][2]:
+        for name, member in names if isinstance(names, list) else [(names, options)]:
+            flag = name.startswith("-")
+            declared.append(types.SimpleNamespace(
+                flag=name if flag else None,
+                switch=member.get("action") == "store_true",
+                required=member.get("required") or (not flag and member.get("nargs") is None),
+                type=member.get("type"),
+                choices=member.get("choices"),
+            ))
+    return declared
+
+
+def _options() -> list[tuple[str, str, dict]]:
+    """(command, name, options) of every argument and group in `cli.SUBCOMMANDS`."""
+    found = []
+    for command, (_, _, arguments) in cli.SUBCOMMANDS.items():
+        for names, options in arguments:
+            found.append((command, str(names), options))
+            if isinstance(names, list):
+                found += [(command, name, member) for name, member in names]
+    return found
+
+
+def _scan_reads() -> set[str]:
+    """The option keys `cli._scan` reads, each an `options.get("<key>")` in its source."""
+    scan = ast.parse(inspect.getsource(cli._scan))
+    return {node.args[0].value for node in ast.walk(scan)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+def test_every_declared_option_is_one_scan_reads():
+    # an option `_scan` ignores (dest, const, metavar ...) would let it
+    # return another Namespace than argparse on a line it accepts
+    reads = _scan_reads() | {"help"}
+    assert [(c, name, key) for c, name, options in _options() for key in options
+            if key not in reads] == []
+    # `_scan` knows one action and one nargs
+    assert {o["action"] for _, _, o in _options() if "action" in o} <= {"store_true"}
+    assert {o["nargs"] for _, _, o in _options() if "nargs" in o} <= {"?"}
+
+
+def test_only_build_parser_declares_arguments_to_argparse():
+    tree = ast.parse(inspect.getsource(cli))
+    callers = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr in ("add_argument", "add_mutually_exclusive_group")}
+    assert callers == {"build_parser"}
 
 
 GOOD = ["0.5", "2", "0:2:0.5", "0.75,0.7", "X", "f.json"]

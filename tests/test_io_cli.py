@@ -1316,6 +1316,10 @@ class TestCliParser:
         (["mg", "two_cov.json", "--op", "mg-prob1", "--alphas", "0.75,0.7", "--beta", "0.25",
           "--target", "X"], 0),
         (["check", "--random", "--count", "2"], 0),
+        (["regions", "price.json", "--op", "grade", "--k", "2", "--target", "X"], 0),
+        (["sweep", "price.json", "--op", "grade", "--k", "0:4:0.5", "--target", "X"], 0),
+        (["gen", "--n", "4", "--gamma", "0.9", "--m", "2"], 0),
+        (["neigh", "two_cov.json", "--covering", "quality", "--out", os.devnull], 0),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_subparsers_built_per_command(self, capsys, monkeypatch, fixtures_dir, argv, built):
         monkeypatch.chdir(fixtures_dir)
